@@ -12,7 +12,6 @@ ranges, replays the inductive proof, and runs the same pipeline on other
 integer recurrences to discover and brute-force-verify their analogues.
 """
 
-from ._backend import BACKEND, available_backends
 from .conjecture import (
     ConjecturedIdentity,
     Recurrence,
@@ -59,8 +58,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "available_backends",
     "SequenceSpec",
     "NonInvertibleStepError",
     "FIBONACCI",

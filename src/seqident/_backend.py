@@ -1,36 +1,5 @@
-"""Kernel backend selection.
+"""Where the benchmark's tracer (seqbench/tracing.py) finds the kernel
+module, as ``seqident._backend.kernels``; the package itself never imports
+this module."""
 
-Imports the compiled Cython kernels when they are built, otherwise the
-pure-Python twins.  Set SEQIDENT_PURE=1 in the environment to force the
-pure-Python backend (used by the benchmark and the backend tests).
-"""
-
-from __future__ import annotations
-
-import os
-
-from . import _kernels_py
-
-BACKEND = "python"
-kernels = _kernels_py
-
-if not os.environ.get("SEQIDENT_PURE"):
-    try:
-        from . import _kernels as _compiled
-    except ImportError:
-        pass
-    else:
-        BACKEND = "c"
-        kernels = _compiled
-
-
-def available_backends() -> dict:
-    """Importable kernel backends by name; always includes 'python'."""
-    found = {"python": _kernels_py}
-    try:
-        from . import _kernels as _compiled
-    except ImportError:
-        pass
-    else:
-        found["c"] = _compiled
-    return found
+from . import _kernels_py as kernels  # noqa: F401

@@ -2,10 +2,8 @@
 
 These are the hot inner loops of the package: fast-doubling Fibonacci
 pairs, forward recurrence fills, big-integer dot products and the
-convolution scan used by the range verifier.  seqident._kernels is a
-compiled Cython twin with the same signatures; seqident._backend picks
-whichever is available.  All arithmetic is exact (Python ints, or any
-objects supporting * and +, e.g. Fraction).
+convolution scan used by the range verifier.  All arithmetic is exact
+(Python ints, or any objects supporting * and +, e.g. Fraction).
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ decomposition), conjecture (detect and brute-force-verify the weight
 identity of an arbitrary spec).
 
 Global flags: --format plain|json|csv, --jobs K (verify only: the range
-is split into contiguous chunks checked in parallel; output bytes never
-change), --quiet.  Structured formats render big integers as decimal
-strings, never floats, and contain no timestamps, so identical inputs
-produce identical bytes.
+is split into contiguous chunks checked in parallel; K must be at least
+1, no more than os.cpu_count() workers are started whatever K is, and
+output bytes never change), --quiet.  Structured formats render big
+integers as decimal strings, never floats, and contain no timestamps, so
+identical inputs produce identical bytes.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors.
@@ -21,17 +22,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from ._backend import kernels
 from .conjecture import VERIFIED, conjecture, verify_conjecture
 from .dsl import SpecSyntaxError, parse_all
 from .expansion import expansion, sum_expansions
-from .sequences import (BUILTIN_SPECS, FIBONACCI, LUCAS, SequenceSpec,
-                        eval_range, fib, lucas)
-from .verify import convolution_sum
+from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
+from .verify import identity_rows, inductive_row
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
@@ -94,6 +94,12 @@ def _emit(args, plain_lines: list[str], record: dict,
         writer.writerows(csv_rows)
 
 
+def _worker_count(jobs: int) -> int:
+    """Workers to run for --jobs: a pool starts every worker at once, so
+    never more than there are CPUs."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     count = hi - lo + 1
     step = -(-count // max(1, min(jobs, count)))
@@ -107,7 +113,7 @@ def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 parts = list(pool.map(worker, bounds))
-        except (OSError, PermissionError):
+        except OSError:
             parts = [worker(b) for b in bounds]
     else:
         parts = [worker(b) for b in bounds]
@@ -116,29 +122,13 @@ def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
 
 def _identity_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
     """(n, lhs, rhs, ok) rows for the identity over one chunk."""
-    lo, hi = bounds
-    fibs = eval_range(FIBONACCI, 0, hi)
-    lucs = eval_range(LUCAS, 0, hi)
-    sums = kernels.convolution_values(lucs, fibs, lo, hi)
-    rows = []
-    for n, s in zip(range(lo, hi + 1), sums):
-        lhs = (n - 1) * fibs[n]
-        q, r = divmod(s, n - 1)
-        rows.append((n, lhs, s, s == lhs and r == 0 and q == fibs[n]))
-    return rows
+    return list(identity_rows(*bounds))
 
 
 def _inductive_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
     """(m, S(m+1), decomposition, ok) rows over one chunk."""
     lo, hi = bounds
-    rows = []
-    for m in range(lo, hi + 1):
-        s_next = convolution_sum(m + 1)
-        decomposed = (fib(m) + convolution_sum(m)
-                      + lucas(0) * fib(m - 1) + convolution_sum(m - 1))
-        ok = s_next == decomposed and s_next == m * fib(m + 1)
-        rows.append((m, s_next, decomposed, ok))
-    return rows
+    return [inductive_row(m) for m in range(lo, hi + 1)]
 
 
 def cmd_eval(args) -> int:
@@ -226,13 +216,13 @@ def cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
     if lo < 2:
         raise CliError(f"verify range must start at 2 or above, got {lo}")
-    rows = _map_chunks(_identity_chunk, _chunks(lo, hi, args.jobs), args.jobs)
+    jobs = _worker_count(args.jobs)
+    rows = _map_chunks(_identity_chunk, _chunks(lo, hi, jobs), jobs)
     checks = [("identity", n, lhs, rhs, ok) for n, lhs, rhs, ok in rows]
     if args.inductive:
         m_lo = max(3, lo)
         if m_lo <= hi:
-            ind = _map_chunks(_inductive_chunk, _chunks(m_lo, hi, args.jobs),
-                              args.jobs)
+            ind = _map_chunks(_inductive_chunk, _chunks(m_lo, hi, jobs), jobs)
             checks += [("inductive", m, lhs, rhs, ok) for m, lhs, rhs, ok in ind]
 
     failed = [c for c in checks if not c[4]]
@@ -406,12 +396,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Values are exact integers of any size; Python refuses to convert ones
+    # over 4300 decimal digits unless the limit is lifted.  It is restored on
+    # return, so in-process callers keep their own setting.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.jobs < 1:
+            raise CliError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except CliError as exc:
         print(f"seqident: error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._backend import kernels
+from ._kernels_py import fill_forward
 from .expansion import CollectedWeights, sum_expansions
-from .sequences import SequenceSpec, eval_range
+from .sequences import SequenceSpec, _as_int_if_integral, eval_range
 from .verify import Failure, IdentityReport
 
 DEFAULT_MAX_ORDER = 8
@@ -41,7 +41,7 @@ class Recurrence:
         """The `count` values following `seeds` under this recurrence."""
         if count <= 0:
             return []
-        return kernels.fill_forward(list(self.coeffs), list(seeds[-self.order:]), count)
+        return fill_forward(list(self.coeffs), list(seeds[-self.order:]), count)
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,6 @@ class ConjecturedIdentity:
     verified_lo: int
     verified_hi: int
     status: str
-
-
-def _as_int_if_integral(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
 
 
 def _solve_exact(rows: list[list], rhs: list) -> list | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import kernels
+from ._kernels_py import fib_pair, fill_forward
 
 
 class NonInvertibleStepError(ValueError):
@@ -80,18 +80,19 @@ def fib(n: int) -> int:
     """F(n) under F(1) = F(2) = 1, F(0) = 0, in O(log n) multiplications."""
     if n < 0:
         raise ValueError(f"fib index must be >= 0, got {n}")
-    return kernels.fib_pair(n)[0]
+    return fib_pair(n)[0]
 
 
 def lucas(n: int) -> int:
     """L(n) under L(0) = 2, L(1) = 1, via L(n) = 2*F(n+1) - F(n)."""
     if n < 0:
         raise ValueError(f"lucas index must be >= 0, got {n}")
-    a, b = kernels.fib_pair(n)
+    a, b = fib_pair(n)
     return 2 * b - a
 
 
 def _as_int_if_integral(v):
+    """A Fraction with denominator 1 as an int; anything else unchanged."""
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
     return v
@@ -142,7 +143,7 @@ def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
     below = _extend_down(spec, s - lo) if lo < s else []
     vals = below + list(spec.seeds)
     if hi > e:
-        vals += kernels.fill_forward(list(spec.coeffs), vals[-spec.order:], hi - e)
+        vals += fill_forward(list(spec.coeffs), vals[-spec.order:], hi - e)
     # vals now covers min(lo, s) .. max(hi, e)
     start = min(lo, s)
     return vals[lo - start : hi - start + 1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ._backend import kernels
+from ._kernels_py import convolution_values, dot_product
 from .expansion import CollectedWeights
 from .sequences import FIBONACCI, LUCAS, SequenceSpec, eval_range, fib, lucas
 
@@ -48,20 +48,24 @@ def convolution_sum(n: int, *, lucas_spec: SequenceSpec = LUCAS,
     lucs = eval_range(lucas_spec, 1, n - 1)
     fibs = eval_range(fib_spec, 1, n - 1)
     fibs.reverse()  # fibs[j] is now F(n-1-j), pairing L(1+j) with F(n-(1+j))
-    return kernels.dot_product(lucs, fibs)
+    return dot_product(lucs, fibs)
 
 
-def _scan(lo: int, hi: int, fib_spec: SequenceSpec,
-          lucas_spec: SequenceSpec) -> Failure | None:
+def identity_rows(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
+                  lucas_spec: SequenceSpec = LUCAS):
+    """Yield (n, (n-1)*F(n), S(n), ok) for every n in lo..hi.
+
+    ok holds iff S(n) = (n-1)*F(n) and, independently, n-1 divides S(n)
+    exactly with quotient F(n).  F and L values are computed once for the
+    whole range and reused by the per-n convolution sums.
+    """
     fibs = eval_range(fib_spec, 0, hi)
     lucs = eval_range(lucas_spec, 0, hi)
-    sums = kernels.convolution_values(lucs, fibs, lo, hi)
+    sums = convolution_values(lucs, fibs, lo, hi)
     for n, s in zip(range(lo, hi + 1), sums):
         lhs = (n - 1) * fibs[n]
         q, r = divmod(s, n - 1)
-        if s != lhs or r != 0 or q != fibs[n]:
-            return Failure(n, lhs, s)
-    return None
+        yield n, lhs, s, s == lhs and r == 0 and q == fibs[n]
 
 
 def check_identity(n: int) -> IdentityReport:
@@ -77,21 +81,22 @@ def check_range(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
                 lucas_spec: SequenceSpec = LUCAS) -> IdentityReport:
     """Check the identity for every n in lo..hi; report the least failure.
 
-    F and L values are computed once for the whole range and reused by the
-    per-n convolution sums.  The spec arguments exist so tests can inject
-    tampered sequences; the defaults are the real ones.
+    The spec arguments exist so tests can inject tampered sequences; the
+    defaults are the real ones.
     """
     if lo < 2 or lo > hi:
         raise ValueError(f"invalid range {lo}..{hi} (need 2 <= lo <= hi)")
     t0 = time.perf_counter()
-    failure = _scan(lo, hi, fib_spec, lucas_spec)
+    rows = identity_rows(lo, hi, fib_spec=fib_spec, lucas_spec=lucas_spec)
+    failure = next((Failure(n, lhs, rhs) for n, lhs, rhs, ok in rows if not ok), None)
     elapsed = time.perf_counter() - t0
     return IdentityReport(lo, hi, failure is None, failure, elapsed)
 
 
-def inductive_step_check(m: int) -> bool:
-    """Replay the inductive decomposition at m: S(m+1) must equal
-    F(m) + S(m) + L(0)*F(m-1) + S(m-1), and also m*F(m+1).
+def inductive_row(m: int) -> tuple[int, int, int, bool]:
+    """Replay the inductive decomposition at m: (m, S(m+1), decomposition, ok),
+    where ok holds iff S(m+1) equals F(m) + S(m) + L(0)*F(m-1) + S(m-1),
+    and also m*F(m+1).
 
     All S values come from direct summation; needs m >= 3 so that S(m-1)
     is defined.
@@ -100,7 +105,12 @@ def inductive_step_check(m: int) -> bool:
         raise ValueError(f"inductive step needs m >= 3, got {m}")
     s_next = convolution_sum(m + 1)
     decomposed = fib(m) + convolution_sum(m) + lucas(0) * fib(m - 1) + convolution_sum(m - 1)
-    return s_next == decomposed and s_next == m * fib(m + 1)
+    return m, s_next, decomposed, s_next == decomposed and s_next == m * fib(m + 1)
+
+
+def inductive_step_check(m: int) -> bool:
+    """True iff the inductive decomposition holds at m (see inductive_row)."""
+    return inductive_row(m)[3]
 
 
 def reindex_equal(m: int) -> bool:

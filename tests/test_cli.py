@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
+import sys
 
+from seqident import cli
 from seqident.cli import main
 
 
@@ -120,14 +123,44 @@ def test_expand_csv(capsys):
 
 def test_jobs_do_not_change_output_bytes(capsys):
     results = {}
-    for jobs in ("1", "4"):
-        for fmt in ("plain", "json", "csv"):
-            code, out, _ = run(capsys, "verify", "--range", "2..60",
-                               "--jobs", jobs, "--format", fmt)
-            assert code == 0
-            results.setdefault(fmt, []).append(out)
-    for fmt, outputs in results.items():
-        assert outputs[0] == outputs[1], f"--jobs changed {fmt} bytes"
+    for jobs in ("1", "2", "3", "4"):
+        for inductive in ((), ("--inductive",)):
+            for fmt in ("plain", "json", "csv"):
+                code, out, _ = run(capsys, "verify", "--range", "2..60",
+                                   "--jobs", jobs, "--format", fmt, *inductive)
+                assert code == 0
+                results.setdefault((fmt, inductive), []).append(out)
+    for key, outputs in results.items():
+        assert len(set(outputs)) == 1, f"--jobs changed {key} bytes"
+
+
+def test_nonpositive_jobs_exit_two(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--range", "2..6", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("seqident: error: --jobs")
+
+
+def test_worker_count_never_exceeds_cpus(monkeypatch):
+    cpus = os.cpu_count() or 1
+    for jobs in (1, 2, cpus, cpus + 1, 100_000, 10 ** 18):
+        assert cli._worker_count(jobs) == min(jobs, cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(10 ** 18) == 1
+
+
+def test_eval_prints_values_over_the_int_str_digit_limit(capsys):
+    code, out, _ = run(capsys, "eval", "--spec", "builtin:fib", "--n=25000")
+    assert code == 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{iter_fib(25000)}\n"  # 5225 digits
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_repeated_runs_identical_bytes(capsys):
