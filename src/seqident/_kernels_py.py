@@ -1,12 +1,14 @@
 """Pure-Python compute kernels.
 
-These are the hot inner loops of the package: fast-doubling Fibonacci
-pairs, forward recurrence fills, big-integer dot products and the
-convolution scan used by the range verifier.  All arithmetic is exact
-(Python ints, or any objects supporting * and +, e.g. Fraction).
+Fast-doubling Fibonacci pairs, forward recurrence fills, big-integer dot
+products and the convolution scan used by the range verifier.  All
+arithmetic is exact (Python ints, or any objects supporting * and +, e.g.
+Fraction).
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 
 def fib_pair(n: int) -> tuple[int, int]:
@@ -43,23 +45,15 @@ def fill_forward(coeffs: list, window: list, count: int) -> list:
 
 
 def dot_product(xs: list, ys: list) -> object:
-    """Exact dot product of two equal-length value lists."""
-    acc = 0
-    for x, y in zip(xs, ys):
-        acc += x * y
-    return acc
+    """Exact dot product of two equal-length value lists (int 0 if empty)."""
+    return sum(map(mul, xs, ys))
 
 
 def convolution_values(weights: list, values: list, lo: int, hi: int) -> list:
     """Convolution sums S(n) = sum_{k=1}^{n-1} weights[k] * values[n-k].
 
     Both input lists are indexed by absolute sequence index (entry i is the
-    i-th term, entries 0..hi must be present).  Returns [S(lo), ..., S(hi)].
+    i-th term, entries 0..hi must be present).  Returns [S(lo), ..., S(hi)]
+    for 0 <= lo.
     """
-    out = []
-    for n in range(lo, hi + 1):
-        acc = 0
-        for k in range(1, n):
-            acc += weights[k] * values[n - k]
-        out.append(acc)
-    return out
+    return [sum(map(mul, weights[1:n], values[n - 1:0:-1])) for n in range(lo, hi + 1)]

@@ -7,11 +7,11 @@ decomposition), conjecture (detect and brute-force-verify the weight
 identity of an arbitrary spec).
 
 Global flags: --format plain|json|csv, --jobs K (verify only: the range
-is split into contiguous chunks checked in parallel; K must be at least
-1, no more than os.cpu_count() workers are started whatever K is, and
-output bytes never change), --quiet.  Structured formats render big
-integers as decimal strings, never floats, and contain no timestamps, so
-identical inputs produce identical bytes.
+is split into contiguous chunks of about equal estimated work, checked in
+parallel; K must be at least 1, no more than os.cpu_count() workers are
+started whatever K is, and output bytes never change), --quiet.
+Structured formats render big integers as decimal strings, never floats,
+and contain no timestamps, so identical inputs produce identical bytes.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors.
@@ -22,10 +22,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .conjecture import VERIFIED, conjecture, verify_conjecture
 from .dsl import SpecSyntaxError, parse_all
@@ -34,6 +34,12 @@ from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
 from .verify import identity_rows, inductive_row
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
+
+# The row at index n sums n-1 products of operands up to 0.69*n bits long.
+# Timed per row over n = 600..3000, its cost grows as n**2.0 to n**2.6;
+# weighting rows by n**2 keeps the slower of two chunks of 2..1000,
+# 2..1700 or 2..2400 within 10% of their mean time.
+_ROW_COST_EXPONENT = 2
 
 
 class CliError(Exception):
@@ -101,19 +107,35 @@ def _worker_count(jobs: int) -> int:
 
 
 def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    count = hi - lo + 1
-    step = -(-count // max(1, min(jobs, count)))
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
+    """Split lo..hi (lo >= 1) into at most `jobs` contiguous, non-empty
+    chunks of about equal estimated work.
+
+    Row n owns the interval [n - 1/2, n + 1/2] and costs about n**a there
+    (a = _ROW_COST_EXPONENT), so the work below x grows as x**(a+1).  The
+    i-th cut is the closed-form point where that reaches i/jobs of the
+    total, and each row goes to the side of the cut its centre is on.
+    """
+    e = _ROW_COST_EXPONENT + 1
+    w_lo, w_hi = (lo - 0.5) ** e, (hi + 0.5) ** e
+    cuts = {math.ceil((w_lo + i / jobs * (w_hi - w_lo)) ** (1 / e)) - 1
+            for i in range(1, jobs)}
+    ends = sorted(c for c in cuts if lo <= c < hi) + [hi]
+    return [(a, b) for a, b in zip([lo] + [c + 1 for c in ends], ends)]
 
 
 def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
     """Apply worker to each chunk, in parallel when possible; results are
-    concatenated in chunk order, so the merge is deterministic."""
+    concatenated in chunk order, so the merge is deterministic.  If the
+    pool cannot start or a worker dies, every chunk runs here instead."""
     if jobs > 1 and len(bounds) > 1:
+        # Imported here: loading the pool machinery costs every other
+        # command start-up time for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 parts = list(pool.map(worker, bounds))
-        except OSError:
+        except (OSError, BrokenProcessPool):
             parts = [worker(b) for b in bounds]
     else:
         parts = [worker(b) for b in bounds]

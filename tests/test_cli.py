@@ -1,11 +1,15 @@
 """Tests for the command-line front end, run in-process."""
 
+import concurrent.futures
 import csv
 import io
 import json
 import os
+import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
+import seqident
 from seqident import cli
 from seqident.cli import main
 
@@ -123,15 +127,73 @@ def test_expand_csv(capsys):
 
 def test_jobs_do_not_change_output_bytes(capsys):
     results = {}
-    for jobs in ("1", "2", "3", "4"):
-        for inductive in ((), ("--inductive",)):
-            for fmt in ("plain", "json", "csv"):
-                code, out, _ = run(capsys, "verify", "--range", "2..60",
-                                   "--jobs", jobs, "--format", fmt, *inductive)
-                assert code == 0
-                results.setdefault((fmt, inductive), []).append(out)
+    for rng in ("2..60", "50..61", "2..3"):
+        for jobs in ("1", "2", "3", "4"):
+            for inductive in ((), ("--inductive",)):
+                for fmt in ("plain", "json", "csv"):
+                    code, out, _ = run(capsys, "verify", "--range", rng,
+                                       "--jobs", jobs, "--format", fmt, *inductive)
+                    assert code == 0
+                    results.setdefault((rng, fmt, inductive), []).append(out)
     for key, outputs in results.items():
         assert len(set(outputs)) == 1, f"--jobs changed {key} bytes"
+
+
+def test_chunks_cover_the_range_with_about_equal_work():
+    a = cli._ROW_COST_EXPONENT
+    cases = [(lo, hi, jobs)
+             for lo in (2, 3, 7, 50, 999)
+             for count in (1, 2, 3, 5, 12, 100, 401, 1000, 2399)
+             for hi in (lo + count - 1,)
+             for jobs in (1, 2, 3, 4, 7, 16)]
+    for lo, hi, jobs in cases:
+        chunks = cli._chunks(lo, hi, jobs)
+        assert 1 <= len(chunks) <= min(jobs, hi - lo + 1), (lo, hi, jobs, chunks)
+        assert chunks[0][0] == lo and chunks[-1][1] == hi, (lo, hi, jobs, chunks)
+        for (_, end), (start, _) in zip(chunks, chunks[1:]):
+            assert start == end + 1, (lo, hi, jobs, chunks)
+        assert all(start <= end for start, end in chunks), (lo, hi, jobs, chunks)
+        if hi - lo >= 100 * jobs:
+            assert len(chunks) == jobs
+            work = [sum(n ** a for n in range(start, end + 1)) for start, end in chunks]
+            ideal = sum(work) / jobs
+            assert all(ideal / 1.5 <= w <= ideal * 1.5 for w in work), (lo, hi, jobs, work)
+
+
+def test_dead_worker_falls_back_to_serial(capsys, monkeypatch):
+    pools = []
+
+    class DyingPool:
+        """A pool whose worker was killed before returning any chunk."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            raise BrokenProcessPool("a worker terminated abruptly")
+
+    _, serial, _ = run(capsys, "verify", "--range", "2..60", "--jobs", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+    code, out, _ = run(capsys, "verify", "--range", "2..60", "--jobs", "2")
+    assert pools == [2]
+    assert code == 0
+    assert out == serial
+
+
+def test_import_does_not_load_the_process_pool():
+    src = os.path.dirname(os.path.dirname(seqident.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, seqident.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"
 
 
 def test_nonpositive_jobs_exit_two(capsys):
