@@ -13,6 +13,8 @@ started whatever K is, and output bytes never change), --quiet.
 Structured formats render big integers as decimal strings, never floats,
 and contain no timestamps, so identical inputs produce identical bytes.
 
+verify's range end and conjecture's --verify-to are at most MAX_INDEX.
+
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors.
 """
@@ -27,11 +29,11 @@ import os
 import re
 import sys
 
-from .conjecture import VERIFIED, conjecture, verify_conjecture
+from .conjecture import VERIFIED, conjecture
 from .dsl import SpecSyntaxError, parse_all
 from .expansion import expansion, sum_expansions
 from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
-from .verify import identity_rows, inductive_row
+from .verify import fibonacci_rows, inductive_row
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
@@ -40,6 +42,12 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 # weighting rows by n**2 keeps the slower of two chunks of 2..1000,
 # 2..1700 or 2..2400 within 10% of their mean time.
 _ROW_COST_EXPONENT = 2
+
+# The largest index for verify's --range and conjecture's --verify-to.  The F
+# and L tables up to H take about 0.087*H**2 bytes together: 8.7 MB at 10,000,
+# per verify worker.  A whole-range run also keeps its rows and their decimal
+# text: `verify --range 2..10000 --format json` peaks at 144 MB RSS, in 5 min.
+MAX_INDEX = 10_000
 
 
 class CliError(Exception):
@@ -83,6 +91,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise CliError(f"empty range {text!r}")
     return lo, hi
+
+
+def _check_index(what: str, n: int) -> None:
+    if n > MAX_INDEX:
+        raise CliError(f"{what} {n} is above the largest supported index {MAX_INDEX}")
 
 
 def _emit(args, plain_lines: list[str], record: dict,
@@ -144,7 +157,7 @@ def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
 
 def _identity_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
     """(n, lhs, rhs, ok) rows for the identity over one chunk."""
-    return list(identity_rows(*bounds))
+    return list(fibonacci_rows(*bounds))
 
 
 def _inductive_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
@@ -238,6 +251,7 @@ def cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
     if lo < 2:
         raise CliError(f"verify range must start at 2 or above, got {lo}")
+    _check_index("verify range end", hi)
     jobs = _worker_count(args.jobs)
     rows = _map_chunks(_identity_chunk, _chunks(lo, hi, jobs), jobs)
     checks = [("identity", n, lhs, rhs, ok) for n, lhs, rhs, ok in rows]
@@ -277,6 +291,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    _check_index("--verify-to", args.verify_to)
     spec = _load_spec(args.spec, args.name)
     try:
         conj = conjecture(spec, args.probe_n, args.verify_to,
@@ -286,46 +301,37 @@ def cmd_conjecture(args) -> int:
     status = 0 if conj.status == VERIFIED else 1
 
     plain = [f"status: {conj.status}"]
-    weights_json = None
+    csv_rows = [["status", conj.status]]
+    weights_json = failure_json = None
     residuals_json = []
-    failure_json = None
-    if conj.weight_recurrence is not None:
-        plain.append(f"range: {conj.verified_lo}..{conj.verified_hi}")
-        wr = conj.weight_recurrence
-        coeffs = " ".join(str(c) for c in wr.coeffs)
-        seeds = " ".join(str(s) for s in conj.weight_seeds)
-        plain.append(f"weights: order {wr.order}, coefficients {coeffs}, "
-                     f"seeds {seeds}")
-        weights_json = {
-            "order": wr.order,
-            "coeffs": [str(c) for c in wr.coeffs],
-            "seeds": [str(s) for s in conj.weight_seeds],
-        }
-        for rule in conj.residual_rules:
-            rc = " ".join(str(c) for c in rule.recurrence.coeffs)
-            rs = " ".join(str(s) for s in rule.seeds)
-            plain.append(
-                f"residual offset {rule.offset}: order {rule.recurrence.order}, "
-                f"coefficients {rc}, seeds {rs}, start n={rule.start_n}, "
-                f"constant {rule.constant}"
-            )
-            residuals_json.append({
-                "offset": rule.offset,
-                "order": rule.recurrence.order,
-                "coeffs": [str(c) for c in rule.recurrence.coeffs],
-                "seeds": [str(s) for s in rule.seeds],
-                "start_n": rule.start_n,
-                "constant": str(rule.constant),
-            })
-        if conj.status != VERIFIED:
-            report = verify_conjecture(conj, conj.verified_lo, conj.verified_hi)
-            if report.first_failure is not None:
-                f = report.first_failure
-                plain.append(f"first failure: n={f.n} lhs={f.lhs} rhs={f.rhs} "
-                             f"difference={f.rhs - f.lhs}")
-                failure_json = {"n": f.n, "lhs": str(f.lhs), "rhs": str(f.rhs)}
-    else:
+    if conj.weight_recurrence is None:
         plain.append("no recurrence fit the collected weights; nothing verified")
+    else:
+        wr = conj.weight_recurrence
+        weights_json = {"order": wr.order, "coeffs": [str(c) for c in wr.coeffs],
+                        "seeds": [str(s) for s in conj.weight_seeds]}
+        coeffs, seeds = " ".join(weights_json["coeffs"]), " ".join(weights_json["seeds"])
+        plain.append(f"range: {conj.verified_lo}..{conj.verified_hi}")
+        plain.append(f"weights: order {wr.order}, coefficients {coeffs}, seeds {seeds}")
+        csv_rows += [["weights.order", wr.order], ["weights.coeffs", coeffs],
+                     ["weights.seeds", seeds]]
+        for rule in conj.residual_rules:
+            rj = {"offset": rule.offset, "order": rule.recurrence.order,
+                  "coeffs": [str(c) for c in rule.recurrence.coeffs],
+                  "seeds": [str(s) for s in rule.seeds],
+                  "start_n": rule.start_n, "constant": str(rule.constant)}
+            residuals_json.append(rj)
+            rc, rs, key = " ".join(rj["coeffs"]), " ".join(rj["seeds"]), f"residual.{rule.offset}"
+            plain.append(f"residual offset {rule.offset}: order {rj['order']}, "
+                         f"coefficients {rc}, seeds {rs}, start n={rule.start_n}, "
+                         f"constant {rj['constant']}")
+            csv_rows += [[f"{key}.order", rj["order"]], [f"{key}.coeffs", rc],
+                         [f"{key}.seeds", rs], [f"{key}.constant", rj["constant"]]]
+        f = conj.first_failure
+        if f is not None:
+            plain.append(f"first failure: n={f.n} lhs={f.lhs} rhs={f.rhs} "
+                         f"difference={f.rhs - f.lhs}")
+            failure_json = {"n": f.n, "lhs": str(f.lhs), "rhs": str(f.rhs)}
 
     record = {
         "command": "conjecture",
@@ -342,17 +348,6 @@ def cmd_conjecture(args) -> int:
         },
         "status": status,
     }
-    csv_rows = [["status", conj.status]]
-    if weights_json is not None:
-        csv_rows.append(["weights.order", weights_json["order"]])
-        csv_rows.append(["weights.coeffs", " ".join(weights_json["coeffs"])])
-        csv_rows.append(["weights.seeds", " ".join(weights_json["seeds"])])
-        for rj in residuals_json:
-            key = f"residual.{rj['offset']}"
-            csv_rows.append([f"{key}.order", rj["order"]])
-            csv_rows.append([f"{key}.coeffs", " ".join(rj["coeffs"])])
-            csv_rows.append([f"{key}.seeds", " ".join(rj["seeds"])])
-            csv_rows.append([f"{key}.constant", rj["constant"]])
     _emit(args, plain, record, ["key", "value"], csv_rows)
     return status
 

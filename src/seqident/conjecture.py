@@ -8,8 +8,10 @@ verifies the resulting identity
     (n-1)*U(n) = sum_{k=1}^{n-1} a(k)*U(n-k) + residual terms
 
 over a finite range against an oracle that never touches the expansion
-engine.  Conjectures are only ever reported together with their
-verification status.
+engine.  That check, and collect_general's cross-check of one collected
+identity, run on verify.identity_rows, the one identity-scan engine.
+Conjectures are only ever reported together with their verification
+status and, when refuted, the least failing index.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from ._kernels_py import fill_forward
 from .expansion import CollectedWeights, sum_expansions
 from .sequences import SequenceSpec, _as_int_if_integral, eval_range
-from .verify import Failure, IdentityReport
+from .verify import Failure, IdentityReport, identity_rows, scan_report
 
 DEFAULT_MAX_ORDER = 8
 
@@ -39,8 +41,6 @@ class Recurrence:
 
     def extend(self, seeds, count: int) -> list:
         """The `count` values following `seeds` under this recurrence."""
-        if count <= 0:
-            return []
         return fill_forward(list(self.coeffs), list(seeds[-self.order:]), count)
 
 
@@ -59,16 +59,14 @@ class ResidualRule:
     start_n: int
     constant: object
 
-    def value_at(self, n: int, generated: list) -> object:
-        return generated[n - self.start_n]
-
 
 @dataclass(frozen=True)
 class ConjecturedIdentity:
     """A detected weight identity for one sequence spec.
 
     verified_lo/hi give the range the brute-force check ran over; the
-    identity is only claimed where status == "verified".
+    identity is only claimed where status == "verified".  first_failure is
+    that check's least failing index, set exactly when status == "refuted".
     """
 
     spec: SequenceSpec
@@ -78,6 +76,7 @@ class ConjecturedIdentity:
     verified_lo: int
     verified_hi: int
     status: str
+    first_failure: Failure | None = None
 
 
 def _solve_exact(rows: list[list], rhs: list) -> list | None:
@@ -146,16 +145,17 @@ def detect_min_recurrence(values: list, max_order: int) -> Recurrence | None:
     return None
 
 
-def _identity_sides(spec: SequenceSpec, w: CollectedWeights):
-    """Evaluate both sides of the collected identity at w.n concretely."""
-    n = w.n
-    max_shift = max(w.residual) if w.residual else n - 1
-    base = n - max_shift
-    vals = eval_range(spec, base, n)
-    lhs = (n - 1) * vals[n - base]
-    rhs = sum(a * vals[n - k - base] for k, a in enumerate(w.weights, start=1))
-    rhs += sum(c * vals[n - k - base] for k, c in w.residual.items())
-    return lhs, rhs
+def _identity_rows(spec: SequenceSpec, lo: int, hi: int, weights, residual):
+    """identity_rows over lo..hi for the identity of `spec` with
+    weights[k-1] = a(k) and, for each (j, coeffs) in `residual`, the terms
+    coeffs[n-lo]*U(-j).  U is evaluated from index min(1, -j) up, no lower.
+    """
+    base = min([1] + [-j for j, _ in residual])
+    vals = eval_range(spec, base, hi)
+    constants = [vals[-j - base] for j, _ in residual]
+    rhos = zip(*(coeffs for _, coeffs in residual))  # (rho_j(n) for each j), n = lo..hi
+    extra = [sum(c * u for c, u in zip(rho, constants)) for rho in rhos]
+    return identity_rows(lo, hi, [0, *weights], [0, *vals[1 - base:]], extra)
 
 
 def collect_general(spec: SequenceSpec, n: int) -> CollectedWeights:
@@ -166,8 +166,9 @@ def collect_general(spec: SequenceSpec, n: int) -> CollectedWeights:
     NonInvertibleStepError here when its residual is nonzero.
     """
     w = sum_expansions(spec, n)
-    lhs, rhs = _identity_sides(spec, w)
-    if lhs != rhs:
+    residual = [(k - n, [c]) for k, c in w.residual.items()]
+    _, lhs, rhs, ok = next(_identity_rows(spec, n, n, w.weights, residual))
+    if not ok:
         raise ArithmeticError(
             f"collected weights for {spec.name!r} at n={n} do not reproduce "
             f"(n-1)*U(n): {lhs} != {rhs}"
@@ -190,29 +191,13 @@ def verify_conjecture(conj: ConjecturedIdentity, lo: int, hi: int) -> IdentityRe
 
     weights = list(conj.weight_seeds)
     weights += conj.weight_recurrence.extend(weights, (hi - 1) - len(weights))
-
-    rho_tables = []
+    residual = []
     for rule in conj.residual_rules:
-        seq = list(rule.seeds)
-        seq += rule.recurrence.extend(seq, (hi - rule.start_n + 1) - len(seq))
-        rho_tables.append((rule, seq))
+        rho = list(rule.seeds)
+        rho += rule.recurrence.extend(rho, (hi - rule.start_n + 1) - len(rho))
+        residual.append((rule.offset, rho[lo - rule.start_n:]))
 
-    base = min([1] + [-rule.offset for rule in conj.residual_rules])
-    vals = eval_range(conj.spec, base, hi)
-
-    failure = None
-    for n in range(lo, hi + 1):
-        lhs = (n - 1) * vals[n - base]
-        rhs = 0
-        for k in range(1, n):
-            rhs += weights[k - 1] * vals[n - k - base]
-        for rule, seq in rho_tables:
-            rhs += rule.value_at(n, seq) * vals[-rule.offset - base]
-        if lhs != rhs:
-            failure = Failure(n, lhs, rhs)
-            break
-    elapsed = time.perf_counter() - t0
-    return IdentityReport(lo, hi, failure is None, failure, elapsed)
+    return scan_report(lo, hi, _identity_rows(conj.spec, lo, hi, weights, residual), t0)
 
 
 def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
@@ -265,4 +250,5 @@ def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
         residual_rules=tuple(rules),
     )
     report = verify_conjecture(candidate, 2, verify_hi)
-    return replace(candidate, status=VERIFIED if report.passed else REFUTED)
+    return replace(candidate, status=VERIFIED if report.passed else REFUTED,
+                   first_failure=report.first_failure)

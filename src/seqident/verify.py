@@ -4,12 +4,19 @@ Checks, with exact arithmetic, that sum_{k=1}^{n-1} L(k)*F(n-k) equals
 (n-1)*F(n) -- in both the multiplied form and the exact-division form --
 over single indices or whole ranges, and replays the inductive
 decomposition and reindexing steps that prove it.
+
+identity_rows is the one identity-scan engine: it checks the general form
+(n-1)*U(n) = sum a(k)*U(n-k) + sum_j rho_j(n)*U(-j) row by row.  The
+paper's check (fibonacci_rows, for check_range and the CLI), the
+conjecture verifier and collect_general's cross-check all run on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 
 from ._kernels_py import convolution_values, dot_product
 from .expansion import CollectedWeights
@@ -51,29 +58,40 @@ def convolution_sum(n: int, *, lucas_spec: SequenceSpec = LUCAS,
     return dot_product(lucs, fibs)
 
 
-def identity_rows(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
-                  lucas_spec: SequenceSpec = LUCAS):
-    """Yield (n, (n-1)*F(n), S(n), ok) for every n in lo..hi.
+def identity_rows(lo: int, hi: int, weights, values, extra=()):
+    """Yield (n, (n-1)*U(n), rhs, ok) for n in lo..hi (lo >= 2): the one
+    scan of (n-1)*U(n) = sum_{k=1}^{n-1} a(k)*U(n-k) + sum_j rho_j(n)*U(-j).
 
-    ok holds iff S(n) = (n-1)*F(n) and, independently, n-1 divides S(n)
-    exactly with quotient F(n).  F and L values are computed once for the
-    whole range and reused by the per-n convolution sums.
+    weights[k] = a(k) and values[n] = U(n) are indexed by absolute index
+    (index 0 is never read); extra[n-lo], if given, is row n's residual sum.
+    ok holds iff rhs = (n-1)*U(n) and, independently, n-1 divides rhs
+    exactly with quotient U(n) (a Fraction, so rational values divide too).
     """
+    sums = convolution_values(weights, values, lo, hi)
+    if extra:
+        sums = map(add, sums, extra)
+    for n, rhs in zip(range(lo, hi + 1), sums):
+        u = values[n]
+        lhs = (n - 1) * u
+        yield n, lhs, rhs, rhs == lhs and Fraction(rhs, n - 1) == u
+
+
+def fibonacci_rows(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
+                   lucas_spec: SequenceSpec = LUCAS):
+    """identity_rows for the paper's instance U = F, a = L, no residual."""
     fibs = eval_range(fib_spec, 0, hi)
     lucs = eval_range(lucas_spec, 0, hi)
-    sums = convolution_values(lucs, fibs, lo, hi)
-    for n, s in zip(range(lo, hi + 1), sums):
-        lhs = (n - 1) * fibs[n]
-        q, r = divmod(s, n - 1)
-        yield n, lhs, s, s == lhs and r == 0 and q == fibs[n]
+    return identity_rows(lo, hi, lucs, fibs)
+
+
+def scan_report(lo: int, hi: int, rows, t0: float) -> IdentityReport:
+    """The report on identity_rows' rows for lo..hi, timed from perf_counter() t0."""
+    failure = next((Failure(n, lhs, rhs) for n, lhs, rhs, ok in rows if not ok), None)
+    return IdentityReport(lo, hi, failure is None, failure, time.perf_counter() - t0)
 
 
 def check_identity(n: int) -> IdentityReport:
-    """Check both forms of the identity at a single index.
-
-    Passes iff S(n) = (n-1)*F(n) and, independently, n-1 divides S(n)
-    exactly with quotient F(n).
-    """
+    """Check both forms of the identity at a single index (see identity_rows)."""
     return check_range(n, n)
 
 
@@ -87,10 +105,8 @@ def check_range(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
     if lo < 2 or lo > hi:
         raise ValueError(f"invalid range {lo}..{hi} (need 2 <= lo <= hi)")
     t0 = time.perf_counter()
-    rows = identity_rows(lo, hi, fib_spec=fib_spec, lucas_spec=lucas_spec)
-    failure = next((Failure(n, lhs, rhs) for n, lhs, rhs, ok in rows if not ok), None)
-    elapsed = time.perf_counter() - t0
-    return IdentityReport(lo, hi, failure is None, failure, elapsed)
+    rows = fibonacci_rows(lo, hi, fib_spec=fib_spec, lucas_spec=lucas_spec)
+    return scan_report(lo, hi, rows, t0)
 
 
 def inductive_row(m: int) -> tuple[int, int, int, bool]:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import importlib
 import io
 import json
 import os
@@ -325,3 +326,70 @@ def test_noninvertible_backward_eval_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--spec", str(path), "--range=-2..4")
     assert code == 2
     assert "backward" in err
+
+
+def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated an index above cli.MAX_INDEX")
+
+    monkeypatch.setattr(cli, "_map_chunks", must_not_run)
+    monkeypatch.setattr(cli, "conjecture", must_not_run)
+    commands = [
+        ("verify", f"--range=2..{10 ** 103}"),
+        ("verify", f"--range=2..{10 ** 103}", "--jobs", "2"),
+        ("verify", f"--range=2..{10 ** 9}", "--jobs", "2"),
+        ("conjecture", "--spec", "builtin:trib", "--probe-n", "40",
+         "--verify-to", str(10 ** 9)),
+        ("verify", f"--range=2..{cli.MAX_INDEX + 1}"),
+        ("conjecture", "--spec", "builtin:trib", "--probe-n", "40",
+         "--verify-to", str(cli.MAX_INDEX + 1)),
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("seqident: error:") and str(cli.MAX_INDEX) in err
+
+
+REFUTED_CSV = (
+    "key,value\n"
+    "status,refuted\n"
+    "weights.order,2\n"
+    "weights.coeffs,0 1\n"
+    "weights.seeds,0 1\n"
+    "residual.0.order,2\n"
+    "residual.0.coeffs,0 1\n"
+    "residual.0.seeds,1 0\n"
+    "residual.0.constant,1\n"
+)
+
+
+def test_refuted_conjecture_reports_its_first_failure_from_one_scan(
+        tmp_path, capsys, monkeypatch):
+    # c1 = 0: the residual fit misses a term, so the identity fails at n=3.
+    path = tmp_path / "z.seq"
+    path.write_text("seq Z: Z(n)=Z(n-2); Z(0)=1; Z(1)=2\n", encoding="utf-8")
+    calls = []
+    module = importlib.import_module("seqident.conjecture")
+    original = module.verify_conjecture
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "verify_conjecture", counted)
+    monkeypatch.setattr(cli, "verify_conjecture", counted, raising=False)
+    outs = {}
+    for fmt in ("plain", "json", "csv"):
+        calls.clear()
+        code, outs[fmt], _ = run(capsys, "conjecture", "--spec", str(path), "--probe-n",
+                                 "20", "--verify-to", "30", "--format", fmt)
+        assert code == 1
+        assert calls == [(2, 30)], fmt
+    lines = outs["plain"].splitlines()
+    assert lines[0] == "status: refuted"
+    assert lines[-1] == "first failure: n=3 lhs=4 rhs=2 difference=-2"
+    record = json.loads(outs["json"])
+    assert record["status"] == 1
+    assert record["results"]["first_failure"] == {"n": 3, "lhs": "4", "rhs": "2"}
+    assert outs["csv"] == REFUTED_CSV

@@ -108,6 +108,17 @@ def test_collect_general_noninvertible_residual():
     assert collect_general(rational, 6).weights == sum_expansions(rational, 6).weights
 
 
+def test_rational_values_above_index_one_scan_exactly():
+    # U(1)..U(5) are non-integer fractions: the scan's exact-division check
+    # must accept them where the identity holds
+    spec = SequenceSpec("A", (1, 2), (1, 3), seed_start=6, rational=True)
+    for n in range(2, 12):
+        assert collect_general(spec, n) == sum_expansions(spec, n)
+    conj = conjecture(spec, 20, 40)
+    assert conj.status == VERIFIED
+    assert conj.first_failure is None
+
+
 def test_conjecture_fibonacci():
     conj = conjecture(FIBONACCI, 40, 120)
     assert conj.status == VERIFIED
