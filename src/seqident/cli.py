@@ -13,7 +13,8 @@ started whatever K is, and output bytes never change), --quiet.
 Structured formats render big integers as decimal strings, never floats,
 and contain no timestamps, so identical inputs produce identical bytes.
 
-verify's range end and conjecture's --verify-to are at most MAX_INDEX.
+verify's range end, collect's --n and conjecture's --probe-n and
+--verify-to are at most MAX_INDEX.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors.
@@ -33,20 +34,25 @@ from .conjecture import VERIFIED, conjecture
 from .dsl import SpecSyntaxError, parse_all
 from .expansion import expansion, sum_expansions
 from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
-from .verify import fibonacci_rows, inductive_row
+from .verify import fibonacci_rows, inductive_rows
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
-# The row at index n sums n-1 products of operands up to 0.69*n bits long.
-# Timed per row over n = 600..3000, its cost grows as n**2.0 to n**2.6;
-# weighting rows by n**2 keeps the slower of two chunks of 2..1000,
-# 2..1700 or 2..2400 within 10% of their mean time.
-_ROW_COST_EXPONENT = 2
+# Row costs do not add up: the scan multiplies a chunk's pairs in Karatsuba
+# blocks, so the low rows (a triangle of pairs) cost less each than a band of
+# high rows.  The slower of the two chunks at --jobs 2, timed in process
+# (minimum of 5; 2 cores, Python 3.11) with rows weighted n**2 / n**3 / n**4:
+# 2..1000 0.040 / 0.041 / 0.049 s, 2..1700 0.159 / 0.175 / 0.137 s,
+# 2..2400 0.488 / 0.381 / 0.377 s (the whole range serially: 0.70 s).
+# n**4 gives the lowest total.
+_ROW_COST_EXPONENT = 4
 
-# The largest index for verify's --range and conjecture's --verify-to.  The F
-# and L tables up to H take about 0.087*H**2 bytes together: 8.7 MB at 10,000,
-# per verify worker.  A whole-range run also keeps its rows and their decimal
-# text: `verify --range 2..10000 --format json` peaks at 144 MB RSS, in 5 min.
+# The largest index for verify's --range, collect's --n and conjecture's
+# --probe-n and --verify-to.  The F and L tables up to H take about
+# 0.087*H**2 bytes together: 8.7 MB at 10,000, per verify worker.  A
+# whole-range run also keeps its rows and their decimal text: `verify --range
+# 2..10000 --format json` peaks at 144 MB RSS, in 5 min.  At 10,000, `collect
+# --n` takes 1.1 s and 63 MB, and `conjecture --probe-n` (trib) 2.0 s and 44 MB.
 MAX_INDEX = 10_000
 
 
@@ -123,7 +129,7 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     """Split lo..hi (lo >= 1) into at most `jobs` contiguous, non-empty
     chunks of about equal estimated work.
 
-    Row n owns the interval [n - 1/2, n + 1/2] and costs about n**a there
+    Row n owns the interval [n - 1/2, n + 1/2] and is weighted n**a there
     (a = _ROW_COST_EXPONENT), so the work below x grows as x**(a+1).  The
     i-th cut is the closed-form point where that reaches i/jobs of the
     total, and each row goes to the side of the cut its centre is on.
@@ -162,8 +168,7 @@ def _identity_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]
 
 def _inductive_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
     """(m, S(m+1), decomposition, ok) rows over one chunk."""
-    lo, hi = bounds
-    return [inductive_row(m) for m in range(lo, hi + 1)]
+    return list(inductive_rows(*bounds))
 
 
 def cmd_eval(args) -> int:
@@ -223,6 +228,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_collect(args) -> int:
+    _check_index("collect --n", args.n)
     spec = _load_spec(args.spec, args.name)
     try:
         w = sum_expansions(spec, args.n)
@@ -292,6 +298,7 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     _check_index("--verify-to", args.verify_to)
+    _check_index("--probe-n", args.probe_n)
     spec = _load_spec(args.spec, args.name)
     try:
         conj = conjecture(spec, args.probe_n, args.verify_to,

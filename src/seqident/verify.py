@@ -48,14 +48,18 @@ class IdentityReport:
 
 
 def convolution_sum(n: int, *, lucas_spec: SequenceSpec = LUCAS,
-                    fib_spec: SequenceSpec = FIBONACCI):
-    """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation."""
+                    fib_spec: SequenceSpec = FIBONACCI, tables=None):
+    """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation.
+
+    tables, if given, is (lucs, fibs) with lucs[i] = L(i) and fibs[i] = F(i)
+    for every i up to at least n-1, read in place of evaluating the specs.
+    """
     if n < 2:
         raise ValueError(f"convolution sum needs n >= 2, got {n}")
-    lucs = eval_range(lucas_spec, 1, n - 1)
-    fibs = eval_range(fib_spec, 1, n - 1)
-    fibs.reverse()  # fibs[j] is now F(n-1-j), pairing L(1+j) with F(n-(1+j))
-    return dot_product(lucs, fibs)
+    if tables is None:
+        tables = ([0, *eval_range(lucas_spec, 1, n - 1)], [0, *eval_range(fib_spec, 1, n - 1)])
+    lucs, fibs = tables
+    return dot_product(lucs[1:n], fibs[n - 1:0:-1])  # L(k) paired with F(n-k)
 
 
 def identity_rows(lo: int, hi: int, weights, values, extra=()):
@@ -109,24 +113,29 @@ def check_range(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
     return scan_report(lo, hi, rows, t0)
 
 
-def inductive_row(m: int) -> tuple[int, int, int, bool]:
-    """Replay the inductive decomposition at m: (m, S(m+1), decomposition, ok),
-    where ok holds iff S(m+1) equals F(m) + S(m) + L(0)*F(m-1) + S(m-1),
-    and also m*F(m+1).
+def inductive_rows(lo: int, hi: int):
+    """Replay the inductive decomposition at each m in lo..hi (lo >= 3, so
+    that S(m-1) is defined): yield (m, S(m+1), decomposition, ok), where ok
+    holds iff S(m+1) equals F(m) + S(m) + L(0)*F(m-1) + S(m-1), and also
+    m*F(m+1).
 
-    All S values come from direct summation; needs m >= 3 so that S(m-1)
-    is defined.
+    Every S value is a direct summation over L and F tables evaluated once,
+    up to index hi; the F and L terms of the decomposition come from fast
+    doubling.
     """
-    if m < 3:
-        raise ValueError(f"inductive step needs m >= 3, got {m}")
-    s_next = convolution_sum(m + 1)
-    decomposed = fib(m) + convolution_sum(m) + lucas(0) * fib(m - 1) + convolution_sum(m - 1)
-    return m, s_next, decomposed, s_next == decomposed and s_next == m * fib(m + 1)
+    if lo < 3:
+        raise ValueError(f"inductive step needs m >= 3, got {lo}")
+    tables = (eval_range(LUCAS, 0, hi), eval_range(FIBONACCI, 0, hi))
+    for m in range(lo, hi + 1):
+        s_next = convolution_sum(m + 1, tables=tables)
+        decomposed = (fib(m) + convolution_sum(m, tables=tables) + lucas(0) * fib(m - 1)
+                      + convolution_sum(m - 1, tables=tables))
+        yield m, s_next, decomposed, s_next == decomposed and s_next == m * fib(m + 1)
 
 
 def inductive_step_check(m: int) -> bool:
-    """True iff the inductive decomposition holds at m (see inductive_row)."""
-    return inductive_row(m)[3]
+    """True iff the inductive decomposition holds at m (see inductive_rows)."""
+    return next(inductive_rows(m, m))[3]
 
 
 def reindex_equal(m: int) -> bool:

@@ -128,14 +128,18 @@ def test_expand_csv(capsys):
 
 def test_jobs_do_not_change_output_bytes(capsys):
     results = {}
-    for rng in ("2..60", "50..61", "2..3"):
+    # 2..700 and 650..700 reach sizes where the scan splits its pairs into
+    # Karatsuba blocks, and the chunks of 2..700 are bands of it.
+    cases = [(rng, inductive) for rng in ("2..60", "50..61", "2..3")
+             for inductive in ((), ("--inductive",))]
+    cases += [("2..700", ()), ("650..700", ())]
+    for rng, inductive in cases:
         for jobs in ("1", "2", "3", "4"):
-            for inductive in ((), ("--inductive",)):
-                for fmt in ("plain", "json", "csv"):
-                    code, out, _ = run(capsys, "verify", "--range", rng,
-                                       "--jobs", jobs, "--format", fmt, *inductive)
-                    assert code == 0
-                    results.setdefault((rng, fmt, inductive), []).append(out)
+            for fmt in ("plain", "json", "csv"):
+                code, out, _ = run(capsys, "verify", "--range", rng,
+                                   "--jobs", jobs, "--format", fmt, *inductive)
+                assert code == 0
+                results.setdefault((rng, fmt, inductive), []).append(out)
     for key, outputs in results.items():
         assert len(set(outputs)) == 1, f"--jobs changed {key} bytes"
 
@@ -334,7 +338,14 @@ def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_map_chunks", must_not_run)
     monkeypatch.setattr(cli, "conjecture", must_not_run)
+    monkeypatch.setattr(cli, "sum_expansions", must_not_run)
     commands = [
+        ("collect", "--spec", "builtin:fib", "--n", str(10 ** 9)),
+        ("collect", "--spec", "builtin:fib", "--n", str(cli.MAX_INDEX + 1)),
+        ("conjecture", "--spec", "builtin:trib", "--probe-n", str(10 ** 9),
+         "--verify-to", "100"),
+        ("conjecture", "--spec", "builtin:trib", "--probe-n", str(cli.MAX_INDEX + 1),
+         "--verify-to", "100"),
         ("verify", f"--range=2..{10 ** 103}"),
         ("verify", f"--range=2..{10 ** 103}", "--jobs", "2"),
         ("verify", f"--range=2..{10 ** 9}", "--jobs", "2"),

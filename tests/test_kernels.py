@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqident import _kernels_py as kernels
 from seqident._kernels_py import convolution_values, dot_product
 
 
@@ -54,3 +58,84 @@ def test_convolution_values_matches_plain_loop():
             want = naive_convolution(weights, values, lo, hi)
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@st.composite
+def scans(draw):
+    """(weights, values, lo, hi, homogeneous): lists for hi up to 200, any lo
+    in 0..hi (often a band a few rows wide), ints up to +-2**200, Fractions,
+    or a mix.  The entries come from a drawn Random, so large lists stay
+    cheap for hypothesis."""
+    hi = draw(st.integers(0, 200))
+    lo = draw(st.one_of(st.integers(0, hi), st.integers(max(0, hi - 3), hi)))
+    kind = draw(st.sampled_from(("int", "fraction", "mixed")))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            bound = 2 ** rng.randint(0, 200)
+            return rng.randint(-bound, bound)
+        return Fraction(rng.randint(-2 ** 64, 2 ** 64), rng.randint(1, 99))
+
+    weights = [entry() for _ in range(hi + 1)]
+    values = [entry() for _ in range(hi + 1)]
+    return weights, values, lo, hi, kind != "mixed"
+
+
+# 1 makes every block that can be split split, down to the smallest ones, so
+# the Karatsuba products and the straddling leaves run at these small sizes;
+# the real cost sends most of them to the direct row sums.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scans(), st.sampled_from((1, kernels._SPLIT_COST)))
+def test_convolution_values_matches_plain_loop_on_any_band(scan, split_cost):
+    weights, values, lo, hi, homogeneous = scan
+    saved = kernels._SPLIT_COST
+    kernels._SPLIT_COST = split_cost
+    try:
+        got = convolution_values(weights, values, lo, hi)
+    finally:
+        kernels._SPLIT_COST = saved
+    want = naive_convolution(weights, values, lo, hi)
+    assert got == want
+    if homogeneous:
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_convolution_values_is_subquadratic():
+    muls = 0
+
+    class Counted(int):
+        """An int that counts its multiplications and stays Counted."""
+
+        def __mul__(self, other):
+            nonlocal muls
+            muls += 1
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Counted(int(other) - int(self))
+
+    # Operands of 2049 bits make every square of side 4 or more worth a
+    # Karatsuba split (4 * 2049 >= 8192) and every block straddling the band
+    # edge worth halving from side 32 up.  The pairs of 2..512 form a
+    # triangle of side 512: T(512) = K(256) + 2*T(256), down to 16*16/2
+    # direct pairs in T(16), with K(s) = 3*K(s/2) and K(2) = 4 for the
+    # wholly-inside squares.  That is about 26,900 products; the quadratic
+    # scan multiplies all 130,816 pairs.
+    big = 2 ** 2048
+    weights = [Counted(big + 3 * i) for i in range(513)]
+    values = [Counted(big - 5 * i) for i in range(513)]
+    got = convolution_values(weights, values, 2, 512)
+    direct = sum(n - 1 for n in range(2, 513))
+    assert muls < direct // 4, (muls, direct)
+    assert got[-13:] == naive_convolution(weights, values, 500, 512)
