@@ -13,7 +13,8 @@ Over 2..N the products grow as at most about N**1.6 instead of N**2/2: for
 the Lucas and Fibonacci tables, 232,197 instead of 499,500 at N = 1000 and
 678,963 instead of 2,878,800 at N = 2400.  Blocks too small, too narrow or
 with operands too short for a split to pay (_pays and _split_pays) are
-summed directly, one row at a time, as the whole scan was before.
+summed directly, one row at a time (_rows, also the base case of the
+Karatsuba product), as the whole scan was before.
 """
 
 from __future__ import annotations
@@ -77,11 +78,9 @@ def convolution_values(weights: list, values: list, lo: int, hi: int) -> list:
     describes: over 2..N at most about N**1.6 products, and over a band
     lo..hi of width W fewer than its N*W pairs once W is wide enough to
     hold squares worth a split (1906..2400: 563,051 of 1,065,240).  A scan
-    whose blocks would not pay for a split (small N, short operands, or a
-    band a few rows wide, such as one row) is the direct row sums.
+    none of whose blocks would pay for a split (small N, short operands, or
+    a band a few rows wide, such as one row) is one block of direct row sums.
     """
-    if not _split_pays(weights, values, lo, hi, 1, hi, 1, hi):
-        return [sum(map(mul, weights[1:n], values[n - 1:0:-1])) for n in range(lo, hi + 1)]
     out = [0] * (hi - lo + 1)
     _scan_block(weights, values, lo, hi, 1, hi, 1, hi, out)
     return out
@@ -105,15 +104,16 @@ def _split_pays(w, v, lo, hi, k0, k1, j0, j1) -> bool:
     sums than it saves.
 
     Such a square is at most half the block's longer side and half the rows
-    it meets, and its operands are those at the block's corner inside the
-    band.  Where both edges of the band cross the block, halving seldom
-    lines a square up with the band, so the rows count half, and the
-    operands are taken at the middle of the band's crossing.
+    it meets.  Its operands are taken where the band crosses the block: at
+    the block's low corner when only the upper edge crosses, at its high
+    corner when only the lower edge does, and at the middle of the band when
+    both do.  The last two rules are needed by the bands that --jobs 2 gives
+    its high chunk: with low-corner operands throughout, 2019..2400 makes
+    843,647 products (all of its pairs), and with them only for blocks the
+    lower edge crosses, 519,689; as below, 467,256.
     """
     below, above = k0 + j0 < lo, k1 + j1 - 2 > hi
     rows = min(k1 + j1 - 2, hi) - max(k0 + j0, lo) + 1
-    if below and above:
-        rows //= 2
     side = min(max(k1 - k0, j1 - j0), rows + 1) // 2
     if side < 4:
         return False
@@ -133,25 +133,22 @@ def _scan_block(w, v, lo, hi, k0, k1, j0, j1, out) -> None:
     if first > last:
         return
     p, q = k1 - k0, j1 - j0
-    if first == k0 + j0 and last == k1 + j1 - 2:  # wholly inside the band
-        if -1 <= p - q <= 1:
-            c = _product(w[k0:k1], v[j0:j1])
-            out[first - lo:last - lo + 1] = map(add, out[first - lo:last - lo + 1], c)
-            return
-    elif not _split_pays(w, v, lo, hi, k0, k1, j0, j1):
-        out[first - lo:last - lo + 1] = map(add, out[first - lo:last - lo + 1], [
-            sum(map(mul, w[max(k0, n - j1 + 1):min(k1, n - j0 + 1)],
-                    v[min(n - k0, j1 - 1):max(n - k1, j0 - 1):-1]))
-            for n in range(first, last + 1)])
-        return
-    if p >= q:
+    inside = first == k0 + j0 and last == k1 + j1 - 2
+    if inside and -1 <= p - q <= 1:
+        c = _product(w[k0:k1], v[j0:j1])
+    elif not inside and not _split_pays(w, v, lo, hi, k0, k1, j0, j1):
+        c = _rows(w[k0:k1], v[j0:j1], first - k0 - j0, last - k0 - j0)
+    elif p >= q:
         h = k0 + p // 2
         _scan_block(w, v, lo, hi, k0, h, j0, j1, out)
         _scan_block(w, v, lo, hi, h, k1, j0, j1, out)
+        return
     else:
         h = j0 + q // 2
         _scan_block(w, v, lo, hi, k0, k1, j0, h, out)
         _scan_block(w, v, lo, hi, k0, k1, h, j1, out)
+        return
+    out[first - lo:last - lo + 1] = map(add, out[first - lo:last - lo + 1], c)
 
 
 def _product(a: list, b: list) -> list:
@@ -160,9 +157,7 @@ def _product(a: list, b: list) -> list:
     p, q = len(a), len(b)
     m = min(p, q) // 2
     if not m or not _pays(2 * m, _bits(a[0], a[-1]), _bits(b[0], b[-1])):
-        rb = b[::-1]
-        return ([sum(map(mul, a[:t + 1], rb[q - 1 - t:])) for t in range(q)]
-                + [sum(map(mul, a[t - q + 1:], rb)) for t in range(q, p + q - 1)])
+        return _rows(a, b, 0, p + q - 2)
     a0, a1, b0, b1 = a[:m], a[m:], b[:m], b[m:]
     low, high = _product(a0, b0), _product(a1, b1)
     mid = _product(list(map(add, a0, a1)) + a1[m:], list(map(add, b0, b1)) + b1[m:])
@@ -171,3 +166,12 @@ def _product(a: list, b: list) -> list:
     c = low + [0] + high  # the 0 at index 2m-1 always receives a mid term
     c[m:m + len(mid)] = map(add, c[m:m + len(mid)], mid)
     return c
+
+
+def _rows(a: list, b: list, t0: int, t1: int) -> list:
+    """Coefficients t0..t1 of the polynomial product a*b, each summed
+    directly: coefficient t is sum(a[i]*b[t-i])."""
+    q = len(b)
+    rb = b[::-1]
+    return ([sum(map(mul, a[:t + 1], rb[q - 1 - t:])) for t in range(t0, min(t1 + 1, q))]
+            + [sum(map(mul, a[t - q + 1:], rb)) for t in range(max(t0, q), t1 + 1)])

@@ -40,12 +40,15 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
 # Row costs do not add up: the scan multiplies a chunk's pairs in Karatsuba
 # blocks, so the low rows (a triangle of pairs) cost less each than a band of
-# high rows.  The slower of the two chunks at --jobs 2, timed in process
-# (minimum of 5; 2 cores, Python 3.11) with rows weighted n**2 / n**3 / n**4:
-# 2..1000 0.040 / 0.041 / 0.049 s, 2..1700 0.159 / 0.175 / 0.137 s,
-# 2..2400 0.488 / 0.381 / 0.377 s (the whole range serially: 0.70 s).
-# n**4 gives the lowest total.
-_ROW_COST_EXPONENT = 4
+# high rows.  The slower of the two chunks of 2..hi at --jobs 2, in process
+# (median of 9; 2 cores, Python 3.11), with rows weighted n**2 / n**3 / n**4:
+#   hi = 1000: 0.056 / 0.063 / 0.065 s    hi = 1300: 0.127 / 0.110 / 0.115 s
+#   hi = 1150: 0.088 / 0.079 / 0.084 s    hi = 1350: 0.124 / 0.115 / 0.121 s
+#   hi = 1200: 0.102 / 0.094 / 0.101 s    hi = 1700: 0.231 / 0.228 / 0.242 s
+#   hi = 1250: 0.102 / 0.089 / 0.102 s    hi = 2400: 0.584 / 0.496 / 0.523 s
+# (2..1250 serially: 0.147 s; 2..2400: 0.766 s).  n**3 is the fastest at
+# every hi but 1000, where the three are within 0.01 s.
+_ROW_COST_EXPONENT = 3
 
 # The largest index for verify's --range, collect's --n and conjecture's
 # --probe-n and --verify-to.  The F and L tables up to H take about

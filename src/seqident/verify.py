@@ -48,17 +48,16 @@ class IdentityReport:
 
 
 def convolution_sum(n: int, *, lucas_spec: SequenceSpec = LUCAS,
-                    fib_spec: SequenceSpec = FIBONACCI, tables=None):
-    """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation.
-
-    tables, if given, is (lucs, fibs) with lucs[i] = L(i) and fibs[i] = F(i)
-    for every i up to at least n-1, read in place of evaluating the specs.
-    """
+                    fib_spec: SequenceSpec = FIBONACCI, _tables=None):
+    """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation."""
+    # _tables, for inductive_rows only, is (lucs, fibs) with lucs[i] = L(i)
+    # and fibs[i] = F(i) for every i up to at least n-1, read in place of
+    # evaluating the default specs.
     if n < 2:
         raise ValueError(f"convolution sum needs n >= 2, got {n}")
-    if tables is None:
-        tables = ([0, *eval_range(lucas_spec, 1, n - 1)], [0, *eval_range(fib_spec, 1, n - 1)])
-    lucs, fibs = tables
+    if _tables is None:
+        _tables = ([0, *eval_range(lucas_spec, 1, n - 1)], [0, *eval_range(fib_spec, 1, n - 1)])
+    lucs, fibs = _tables
     return dot_product(lucs[1:n], fibs[n - 1:0:-1])  # L(k) paired with F(n-k)
 
 
@@ -127,9 +126,9 @@ def inductive_rows(lo: int, hi: int):
         raise ValueError(f"inductive step needs m >= 3, got {lo}")
     tables = (eval_range(LUCAS, 0, hi), eval_range(FIBONACCI, 0, hi))
     for m in range(lo, hi + 1):
-        s_next = convolution_sum(m + 1, tables=tables)
-        decomposed = (fib(m) + convolution_sum(m, tables=tables) + lucas(0) * fib(m - 1)
-                      + convolution_sum(m - 1, tables=tables))
+        s_next = convolution_sum(m + 1, _tables=tables)
+        decomposed = (fib(m) + convolution_sum(m, _tables=tables) + lucas(0) * fib(m - 1)
+                      + convolution_sum(m - 1, _tables=tables))
         yield m, s_next, decomposed, s_next == decomposed and s_next == m * fib(m + 1)
 
 
