@@ -14,7 +14,7 @@ the Lucas and Fibonacci tables, 232,197 instead of 499,500 at N = 1000 and
 678,963 instead of 2,878,800 at N = 2400.  Blocks too small, too narrow or
 with operands too short for a split to pay (_pays and _split_pays) are
 summed directly, one row at a time (_rows, also the base case of the
-Karatsuba product), as the whole scan was before.
+Karatsuba product).
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def _split_pays(w, v, lo, hi, k0, k1, j0, j1) -> bool:
     corner when only the lower edge does, and at the middle of the band when
     both do.  The last two rules are needed by the bands that --jobs 2 gives
     its high chunk: with low-corner operands throughout, 2019..2400 makes
-    843,647 products (all of its pairs), and with them only for blocks the
-    lower edge crosses, 519,689; as below, 467,256.
+    843,647 products (all of its pairs); with the middle rule but low-corner
+    operands where only the lower edge crosses, 519,689; as below, 467,256.
     """
     below, above = k0 + j0 < lo, k1 + j1 - 2 > hi
     rows = min(k1 + j1 - 2, hi) - max(k0 + j0, lo) + 1
