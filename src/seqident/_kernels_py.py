@@ -2,30 +2,54 @@
 
 Fast-doubling Fibonacci pairs, forward recurrence fills, big-integer dot
 products and the convolution scan used by the range verifier.  All
-arithmetic is exact: Python ints or Fractions, and only +, - and * are used.
+arithmetic is exact: Python ints, Fractions, and integral Decimals in a
+context that traps every rounding.
 
 The convolution scan sums the pairs weights[k]*values[j] over the band
-{k, j >= 1, lo <= k+j <= hi}.  It splits the band recursively: a block of
-k-indices by j-indices that lies wholly inside the band is one polynomial
-product, done by Karatsuba (three half-size products instead of four); a
-block that straddles an edge of the band is halved along its longer side.
-Over 2..N the products grow as at most about N**1.6 instead of N**2/2: for
-the Lucas and Fibonacci tables, 232,197 instead of 499,500 at N = 1000 and
-678,963 instead of 2,878,800 at N = 2400.  Blocks too small, too narrow or
-with operands too short for a split to pay (_pays and _split_pays) are
-summed directly, one row at a time (_rows, also the base case of the
-Karatsuba product).
+{k, j >= 1, lo <= k+j <= hi} by Kronecker substitution.  Each side is
+packed into one integer whose base-10**D digits are its coefficients, the
+two are multiplied once, and the product's digits, read back as balanced
+digits with a carry, are the sums, negative ones too.  D bounds twice the
+largest sum on the rows wanted, so no digit overflows into the next.  The
+multiplication is the decimal module's (libmpdec), which multiplies large
+operands by a number-theoretic transform in about n log n time, where
+CPython's ints use Karatsuba.  Fractions are scaled by their common
+denominator into the same integer product.
+
+One product gives every row of 2..N at once (2..2400: 1.2M-digit operands,
+where the scan reads 1.2M digits of weights and values).  A band lo..hi
+takes the same product and keeps its top rows, which costs about as much as
+2..hi.  Where fewer than _SPLIT_COST band pairs fall to each packed
+coefficient (a band a few rows wide, such as one row, or a small scan) the
+rows are summed directly instead (_rows).  No packed operand is longer than
+twice the digits of the entries it packs, so the transient memory stays a
+fixed multiple of the input tables.  A block over that cap, which only
+uneven inputs give (a few entries far longer than the rest, or Fractions
+with a large common denominator), is halved along its longer side
+(_scan_block) until its halves fit or fall to direct sums.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+import decimal
+from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import add, mul
 
-# A Karatsuba split of a side-s block whose operands are about bw and bv bits
-# long saves s*s/4 products of cost ~bw*bv, and costs ~4s additions and a few
-# calls.  Timed on CPython 3.11, one split starts to pay at s*bits ~ 8192 for
-# equal operand sizes, so a split is made when s*s*bw*bv reaches this.
-_SPLIT_COST = 8192 ** 2
+# A block is one product when it has at least this many pairs in the band
+# per coefficient packed; a product's cost grows with its packed length, the
+# direct sums' with their pairs.  Timed on CPython 3.11 (2 cores), a product
+# pays from 40 to 48 pairs a coefficient for bands at the top of 2..N
+# (N = 300 to 4000), from 24 to 48 for 2..N itself on Lucas by Fibonacci,
+# and from above 64 on a signed pair gaining 2 bits a step.
+_SPLIT_COST = 48
+
+# libmpdec's widest context: a product of integers is never rounded, and a
+# signal that it was is an error, not a wrong sum.
+_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow])
 
 
 def fib_pair(n: int) -> tuple[int, int]:
@@ -74,56 +98,36 @@ def convolution_values(weights: list, values: list, lo: int, hi: int) -> list:
     for 0 <= lo, equal to the plain double loop's sums and, for all-int or
     all-Fraction inputs, of its types.
 
-    The pairs (k, n-k) are split into blocks as the module docstring
-    describes: over 2..N at most about N**1.6 products, and over a band
-    lo..hi of width W fewer than its N*W pairs once W is wide enough to
-    hold squares worth a split (1906..2400: 563,051 of 1,065,240).  A scan
-    none of whose blocks would pay for a split (small N, short operands, or
-    a band a few rows wide, such as one row) is one block of direct row sums.
+    One Kronecker product of weights[1:hi] and values[1:hi] gives every
+    sum, as the module docstring describes; a band too narrow for that to
+    pay, such as one row, is summed directly row by row.  The caller's
+    decimal context and int/str digit limit are neither used nor changed.
     """
     out = [0] * (hi - lo + 1)
     _scan_block(weights, values, lo, hi, 1, hi, 1, hi, out)
     return out
 
 
-def _pays(side: int, w_bits: int, v_bits: int) -> bool:
-    """True when a Karatsuba split of a side-`side` block whose operands are
-    about w_bits and v_bits long pays."""
-    return side * side * w_bits * v_bits >= _SPLIT_COST
+def _digits(xs: list) -> int:
+    """At most the decimal digits of ints, or of Fractions' numerators and
+    denominators: an n of b >= 1 bits is at least 2**(b-1), so it has at
+    least floor((b-1)*log10(2)) + 1 digits."""
+    if not all(isinstance(x, int) for x in xs):
+        xs = [n for x in xs for n in (x.numerator, x.denominator)]
+    return sum((n.bit_length() - 1) * 30102 // 100000 + 1 for n in xs)
 
 
-def _bits(*xs) -> int:
-    """The largest bit length of ints or Fractions' numerators; at least 1."""
-    return max(x.numerator.bit_length() for x in xs) or 1
+def _pays(pairs: int, size: int) -> bool:
+    """True when one product of `size` packed coefficients pays for `pairs`
+    pairs, against summing them directly."""
+    return pairs >= _SPLIT_COST * size
 
 
-def _split_pays(w, v, lo, hi, k0, k1, j0, j1) -> bool:
-    """True when halving the block k0 <= k < k1, j0 <= j < j1, which meets
-    the band lo..hi but is not wholly inside it, leads to wholly-inside squares
-    worth two Karatsuba splits; splitting for less costs more in shorter row
-    sums than it saves.
-
-    Such a square is at most half the block's longer side and half the rows
-    it meets.  Its operands are taken where the band crosses the block: at
-    the block's low corner when only the upper edge crosses, at its high
-    corner when only the lower edge does, and at the middle of the band when
-    both do.  The last two rules are needed by the bands that --jobs 2 gives
-    its high chunk: with low-corner operands throughout, 2019..2400 makes
-    843,647 products (all of its pairs); with the middle rule but low-corner
-    operands where only the lower edge crosses, 519,689; as below, 467,256.
-    """
-    below, above = k0 + j0 < lo, k1 + j1 - 2 > hi
-    rows = min(k1 + j1 - 2, hi) - max(k0 + j0, lo) + 1
-    side = min(max(k1 - k0, j1 - j0), rows + 1) // 2
-    if side < 4:
-        return False
-    if below and above:
-        n = (lo + hi) // 2
-        k = min(max(n // 2, n - j1 + 1, k0), n - j0, k1 - 1)
-        return _pays(side // 4, _bits(w[k]), _bits(v[n - k]))
-    if above:
-        return _pays(side // 4, _bits(w[k0], w[k0 + side - 1]), _bits(v[j0], v[j0 + side - 1]))
-    return _pays(side // 4, _bits(w[k1 - side], w[k1 - 1]), _bits(v[j1 - side], v[j1 - 1]))
+def _pairs(t: int, p: int, q: int) -> int:
+    """The number of (a, b) with 0 <= a < p, 0 <= b < q and a + b <= t."""
+    return sum(s * x * (x + 1) // 2
+               for x, s in ((t + 1, 1), (t + 1 - p, -1), (t + 1 - q, -1), (t + 1 - p - q, 1))
+               if x > 0)
 
 
 def _scan_block(w, v, lo, hi, k0, k1, j0, j1, out) -> None:
@@ -133,39 +137,103 @@ def _scan_block(w, v, lo, hi, k0, k1, j0, j1, out) -> None:
     if first > last:
         return
     p, q = k1 - k0, j1 - j0
-    inside = first == k0 + j0 and last == k1 + j1 - 2
-    if inside and -1 <= p - q <= 1:
-        c = _product(w[k0:k1], v[j0:j1])
-    elif not inside and not _split_pays(w, v, lo, hi, k0, k1, j0, j1):
-        c = _rows(w[k0:k1], v[j0:j1], first - k0 - j0, last - k0 - j0)
-    elif p >= q:
-        h = k0 + p // 2
-        _scan_block(w, v, lo, hi, k0, h, j0, j1, out)
-        _scan_block(w, v, lo, hi, h, k1, j0, j1, out)
-        return
-    else:
-        h = j0 + q // 2
-        _scan_block(w, v, lo, hi, k0, k1, j0, h, out)
-        _scan_block(w, v, lo, hi, k0, k1, h, j1, out)
+    t0, t1 = first - k0 - j0, last - k0 - j0
+    # Rows up to t1 use only the first t1+1 entries of each side.
+    a, b = w[k0:k0 + min(p, t1 + 1)], v[j0:j0 + min(q, t1 + 1)]
+    if not _pays(_pairs(t1, p, q) - _pairs(t0 - 1, p, q), len(a) + len(b)):
+        c = _rows(a, b, t0, t1)
+    elif (c := _product(a, b, t0, t1)) is None:
+        if p >= q:
+            h = k0 + p // 2
+            _scan_block(w, v, lo, hi, k0, h, j0, j1, out)
+            _scan_block(w, v, lo, hi, h, k1, j0, j1, out)
+        else:
+            h = j0 + q // 2
+            _scan_block(w, v, lo, hi, k0, k1, j0, h, out)
+            _scan_block(w, v, lo, hi, k0, k1, h, j1, out)
         return
     out[first - lo:last - lo + 1] = map(add, out[first - lo:last - lo + 1], c)
 
 
-def _product(a: list, b: list) -> list:
-    """Coefficients of the polynomial product a*b, by Karatsuba while a
-    split pays and by schoolbook sums below that."""
-    p, q = len(a), len(b)
-    m = min(p, q) // 2
-    if not m or not _pays(2 * m, _bits(a[0], a[-1]), _bits(b[0], b[-1])):
-        return _rows(a, b, 0, p + q - 2)
-    a0, a1, b0, b1 = a[:m], a[m:], b[:m], b[m:]
-    low, high = _product(a0, b0), _product(a1, b1)
-    mid = _product(list(map(add, a0, a1)) + a1[m:], list(map(add, b0, b1)) + b1[m:])
-    mid = list(map(sub, mid, high))
-    mid[:len(low)] = map(sub, mid, low)
-    c = low + [0] + high  # the 0 at index 2m-1 always receives a mid term
-    c[m:m + len(mid)] = map(add, c[m:m + len(mid)], mid)
-    return c
+def _product(a: list, b: list, t0: int, t1: int) -> list | None:
+    """Coefficients t0..t1 of the polynomial product a*b from one Kronecker
+    product, or None when a packed operand would be longer than twice the
+    digits of a and b together."""
+    # A digit slot need only hold coefficients up to t1, so its width is set
+    # by the largest pair on those rows: wa[i] + wb[t1-i], with wa and wb the
+    # running maxima of bit lengths.
+    (na, da), (nb, db) = _integers(a), _integers(b)
+    wa = list(accumulate((x.bit_length() for x in na), max))
+    wb = list(accumulate((x.bit_length() for x in nb), max))
+    bits = (max(wa[i] + wb[min(t1 - i, len(nb) - 1)] for i in range(len(na)))
+            + min(len(na), len(nb)).bit_length() + 1)
+    width = bits * 30103 // 100000 + 1  # 10**width > 2**bits > 2*|coefficient|
+    if max(len(na), len(nb)) * width > 2 * (_digits(a) + _digits(b)):
+        return None
+    product = _CONTEXT.multiply(_pack(na, width), _pack(nb, width))
+    # The product is sum(c[t] * 10**(width*t)), and |c[t]| < 10**width/2 for
+    # t <= t1.  Its low digits, read as balanced digits, give those: slot t
+    # is its plain digits, less 10**width when they start at 5 or above, plus
+    # the carry that slot t-1 gives when its digits do.  Higher slots may
+    # overflow; they only change higher digits.  For a negative product, the
+    # slots of -product are -c.  Only slots t0..t1 and the lead digit of slot
+    # t0-1 are turned into text: shift drops the digits above and below.
+    top, skip = (t1 + 1) * width, max(t0 * width - 1, 0)
+    product = _CONTEXT.subtract(product, _CONTEXT.shift(_CONTEXT.shift(product, -top), top))
+    digits = str(_CONTEXT.shift(product, -skip))
+    negative = digits[0] == "-"
+    digits = digits.lstrip("-").zfill(top - skip)
+    ends = range(top - t0 * width, 0, -width)  # slot t ends at top - t*width
+    c = _ints([digits[e - width:e] for e in ends])
+    base = 10 ** width
+    for i, e in enumerate(ends):
+        if digits[e - width] >= "5":
+            c[i] -= base
+        if digits[e:e + 1] >= "5":
+            c[i] += 1
+    if negative:
+        c = [-x for x in c]
+    if da is None and db is None:
+        return c
+    d = (da or 1) * (db or 1)
+    return [Fraction(x, d) for x in c]
+
+
+def _integers(xs: list) -> tuple[list, int | None]:
+    """(ns, d): ns[i] = xs[i] * d for the least common denominator d of xs,
+    with d None and ns = xs when every entry is an int."""
+    if all(isinstance(x, int) for x in xs):
+        return xs, None
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _pack(xs: list, width: int) -> decimal.Decimal:
+    """sum(xs[i] * 10**(width*i)) as one Decimal; every |xs[i]| < 10**width."""
+    texts = _texts(xs[::-1])
+    if min(xs) >= 0:
+        return _CONTEXT.create_decimal("".join([s.zfill(width) for s in texts]))
+    zero = "0" * width
+    return _CONTEXT.subtract(
+        _CONTEXT.create_decimal("".join([zero if s[0] == "-" else s.zfill(width) for s in texts])),
+        _CONTEXT.create_decimal("".join([s[1:].zfill(width) if s[0] == "-" else zero for s in texts])))
+
+
+def _texts(xs) -> list:
+    """The decimal digits of ints.  str() is the faster below the
+    interpreter's int/str digit limit; Decimal has no such limit."""
+    try:
+        return list(map(str, xs))
+    except ValueError:
+        return [str(decimal.Decimal(x)) for x in xs]
+
+
+def _ints(texts: list) -> list:
+    """The ints that decimal digit strings spell (see _texts)."""
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        return [int(decimal.Decimal(s)) for s in texts]
 
 
 def _rows(a: list, b: list, t0: int, t1: int) -> list:

@@ -6,10 +6,12 @@ Lucas-weighted identity over a range, optionally also the inductive
 decomposition), conjecture (detect and brute-force-verify the weight
 identity of an arbitrary spec).
 
-Global flags: --format plain|json|csv, --jobs K (verify only: the range
-is split into contiguous chunks of about equal estimated work, checked in
-parallel; K must be at least 1, no more than os.cpu_count() workers are
-started whatever K is, and output bytes never change), --quiet.
+Global flags: --format plain|json|csv, --jobs K (verify --inductive only:
+the replay's rows are split into contiguous chunks of about equal estimated
+work, checked in parallel; the identity scan is one Kronecker product, which
+row chunks would only repeat, so it runs in one process whatever K is; K
+must be at least 1, no more than os.cpu_count() workers are started
+whatever K is, and output bytes never change), --quiet.
 Structured formats render big integers as decimal strings, never floats,
 and contain no timestamps, so identical inputs produce identical bytes.
 
@@ -38,24 +40,25 @@ from .verify import fibonacci_rows, inductive_rows
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
-# Row costs do not add up: the scan multiplies a chunk's pairs in Karatsuba
-# blocks, so the low rows (a triangle of pairs) cost less each than a band of
-# high rows.  The slower of the two chunks of 2..hi at --jobs 2, in process
-# (median of 9; 2 cores, Python 3.11), with rows weighted n**2 / n**3 / n**4:
-#   hi = 1000: 0.056 / 0.063 / 0.065 s    hi = 1300: 0.127 / 0.110 / 0.115 s
-#   hi = 1150: 0.088 / 0.079 / 0.084 s    hi = 1350: 0.124 / 0.115 / 0.121 s
-#   hi = 1200: 0.102 / 0.094 / 0.101 s    hi = 1700: 0.231 / 0.228 / 0.242 s
-#   hi = 1250: 0.102 / 0.089 / 0.102 s    hi = 2400: 0.584 / 0.496 / 0.523 s
-# (2..1250 serially: 0.147 s; 2..2400: 0.766 s).  n**3 is the fastest at
-# every hi but 1000, where the three are within 0.01 s.
-_ROW_COST_EXPONENT = 3
+# Row m of the inductive replay is three dot products of about m terms of
+# about 0.7*m bits.  The slower of the two chunks of 3..hi at --jobs 2, in
+# process (median of 9; 2 cores, Python 3.11), with rows weighted n / n**2 /
+# n**3, and all of 3..hi serially:
+#   hi =  300: 0.012 / 0.015 / 0.016 s  (0.023 s)
+#   hi =  400: 0.022 / 0.026 / 0.029 s  (0.035 s)
+#   hi =  700: 0.087 / 0.090 / 0.101 s  (0.141 s)
+#   hi = 1000: 0.212 / 0.199 / 0.244 s  (0.394 s)
+# n**2 is within 0.004 s of the fastest at every hi.
+_ROW_COST_EXPONENT = 2
 
 # The largest index for verify's --range, collect's --n and conjecture's
 # --probe-n and --verify-to.  The F and L tables up to H take about
-# 0.087*H**2 bytes together: 8.7 MB at 10,000, per verify worker.  A
-# whole-range run also keeps its rows and their decimal text: `verify --range
-# 2..10000 --format json` peaks at 144 MB RSS, in 5 min.  At 10,000, `collect
-# --n` takes 1.1 s and 63 MB, and `conjecture --probe-n` (trib) 2.0 s and 44 MB.
+# 0.087*H**2 bytes together: 8.7 MB at 10,000.  The scan packs them into two
+# operands of about as many decimal digits (21M at 10,000), and multiplying
+# those takes a transient of about 15 times the tables: `verify --range
+# 2..10000 --format json` peaks at 167 MB RSS, in 7 s, and the peak is the
+# scan's (--quiet peaks the same).  At 10,000, `collect --n` takes 1.1 s and
+# 63 MB, and `conjecture --probe-n` (trib) 2.0 s and 44 MB.
 MAX_INDEX = 10_000
 
 
@@ -262,7 +265,9 @@ def cmd_verify(args) -> int:
         raise CliError(f"verify range must start at 2 or above, got {lo}")
     _check_index("verify range end", hi)
     jobs = _worker_count(args.jobs)
-    rows = _map_chunks(_identity_chunk, _chunks(lo, hi, jobs), jobs)
+    # One chunk: the scan is one product for the whole range, and a chunk of
+    # the top rows costs about as much as all of it.
+    rows = _map_chunks(_identity_chunk, [(lo, hi)], jobs)
     checks = [("identity", n, lhs, rhs, ok) for n, lhs, rhs, ok in rows]
     if args.inductive:
         m_lo = max(3, lo)

@@ -128,8 +128,8 @@ def test_expand_csv(capsys):
 
 def test_jobs_do_not_change_output_bytes(capsys):
     results = {}
-    # 2..700 and 650..700 reach sizes where the scan splits its pairs into
-    # Karatsuba blocks, and the chunks of 2..700 are bands of it.
+    # 2..700 is one Kronecker product, and 650..700 a band narrow enough to
+    # be summed row by row.
     cases = [(rng, inductive) for rng in ("2..60", "50..61", "2..3")
              for inductive in ((), ("--inductive",))]
     cases += [("2..700", ()), ("650..700", ())]
@@ -183,10 +183,11 @@ def test_dead_worker_falls_back_to_serial(capsys, monkeypatch):
         def map(self, fn, *iterables):
             raise BrokenProcessPool("a worker terminated abruptly")
 
-    _, serial, _ = run(capsys, "verify", "--range", "2..60", "--jobs", "1")
+    # The identity scan is one chunk; the inductive replay is split.
+    _, serial, _ = run(capsys, "verify", "--range", "2..60", "--jobs", "1", "--inductive")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
-    code, out, _ = run(capsys, "verify", "--range", "2..60", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "--range", "2..60", "--jobs", "2", "--inductive")
     assert pools == [2]
     assert code == 0
     assert out == serial

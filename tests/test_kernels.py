@@ -1,6 +1,8 @@
 """The scan kernels against plain-loop references."""
 
+import decimal
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -82,9 +84,9 @@ def scans(draw):
     return weights, values, lo, hi, kind != "mixed"
 
 
-# 1 makes every block that can be split split, down to the smallest ones, so
-# the Karatsuba products and the straddling leaves run at these small sizes;
-# the real cost sends most of them to the direct row sums.
+# 1 sends every block with at least as many band pairs as packed coefficients
+# (a band of three rows or more) to the Kronecker product, so products run at
+# these small sizes; the real cost sends most of them to the direct row sums.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(scans(), st.sampled_from((1, kernels._SPLIT_COST)))
 def test_convolution_values_matches_plain_loop_on_any_band(scan, split_cost):
@@ -139,3 +141,98 @@ def test_convolution_values_is_subquadratic():
     direct = sum(n - 1 for n in range(2, 513))
     assert muls < direct // 4, (muls, direct)
     assert got[-13:] == naive_convolution(weights, values, 500, 512)
+
+
+def lucas_fibonacci(hi):
+    lucs, fibs = [2, 1], [0, 1]
+    while len(fibs) <= hi:
+        lucs.append(lucs[-1] + lucs[-2])
+        fibs.append(fibs[-1] + fibs[-2])
+    return lucs, fibs
+
+
+def power_sums_and_terms(hi):
+    """p_k and U(k) for U(n) = -4U(n-1) + U(n-2): alternating signs, over 2
+    bits gained a step."""
+    p, u = [2, -4], [1, -2]
+    while len(u) <= hi:
+        p.append(-4 * p[-1] + p[-2])
+        u.append(-4 * u[-1] + u[-2])
+    return p, u
+
+
+class RecordingContext:
+    """The kernel's decimal context, recording the digits of every operand
+    of every product."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.operands = []
+
+    def multiply(self, x, y):
+        self.operands += [x.adjusted() + 1, y.adjusted() + 1]
+        return self.ctx.multiply(x, y)
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+
+def test_convolution_values_ignores_the_callers_decimal_context(monkeypatch):
+    # Decimal arithmetic outside a context's methods rounds to the thread's
+    # context; at precision 3 any such step would lose the 600-digit sums.
+    rng = random.Random(3)
+    weights = [rng.randint(-2 ** 2000, 2 ** 2000) for _ in range(301)]
+    values = [rng.randint(-2 ** 2000, 2 ** 2000) for _ in range(301)]
+    recorder = RecordingContext(kernels._CONTEXT)
+    monkeypatch.setattr(kernels, "_CONTEXT", recorder)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.clear_traps()
+        before = repr(ctx)
+        got = convolution_values(weights, values, 2, 300)
+        assert decimal.getcontext() is ctx and repr(ctx) == before
+    assert recorder.operands
+    assert got == naive_convolution(weights, values, 2, 300)
+
+
+def test_convolution_values_ignores_the_int_str_digit_limit(monkeypatch):
+    # Sums of 2**16000-sized pairs fill slots of about 9,640 digits, over the
+    # default limit of 4,300 on str(int) and int(str).  Only cli.main lifts it.
+    monkeypatch.setattr(kernels, "_SPLIT_COST", 1)
+    recorder = RecordingContext(kernels._CONTEXT)
+    monkeypatch.setattr(kernels, "_CONTEXT", recorder)
+    rng = random.Random(4)
+    weights = [rng.randint(-2 ** 16000, 2 ** 16000) for _ in range(41)]
+    values = [rng.randint(2 ** 15999, 2 ** 16000) for _ in range(41)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        got = convolution_values(weights, values, 2, 40)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert recorder.operands
+    assert got == naive_convolution(weights, values, 2, 40)
+
+
+def test_convolution_values_packs_no_operand_over_twice_its_input(monkeypatch):
+    def digits(xs):
+        return sum(len(str(abs(x))) for x in xs)
+
+    # Lucas by Fibonacci and a fast-growing signed pair pack into one product
+    # each.  In the uneven scan one weight of 3001 digits outweighs all the
+    # other entries (1 to 3 digits) together, and any block holding it packs
+    # 3004 digits a slot; with every block worth a product (_SPLIT_COST 1),
+    # only the cap keeps such blocks to two slots.
+    uneven = ([0, 10 ** 3000] + list(range(2, 301)), list(range(301)))
+    cases = [(*lucas_fibonacci(2400), 2400, kernels._SPLIT_COST),
+             (*power_sums_and_terms(600), 600, kernels._SPLIT_COST),
+             (*uneven, 300, 1)]
+    for weights, values, hi, split_cost in cases:
+        recorder = RecordingContext(kernels._CONTEXT)
+        monkeypatch.setattr(kernels, "_CONTEXT", recorder)
+        monkeypatch.setattr(kernels, "_SPLIT_COST", split_cost)
+        got = convolution_values(weights, values, 2, hi)
+        monkeypatch.undo()
+        cap = 2 * (digits(weights[1:hi]) + digits(values[1:hi]))
+        assert recorder.operands and max(recorder.operands) <= cap, (hi, max(recorder.operands), cap)
+        assert got[-5:] == naive_convolution(weights, values, hi - 4, hi)
