@@ -1,15 +1,30 @@
 """Exact evaluation of integer linear recurrence sequences.
 
 Provides the SequenceSpec value type (an order-d recurrence with seeds),
-fast-doubling Fibonacci/Lucas evaluation, generic forward iteration and
-backward extension below the seed range.  All arithmetic is exact: plain
-Python ints, or Fractions when a spec opts into rational mode.
+fast-doubling Fibonacci/Lucas evaluation, and eval_range, the one path that
+evaluates every spec at any indices, above or below its seeds.
+
+eval_range jumps to the first requested index and streams only the span
+asked for.  The jump is Fiduccia's ("An efficient formula for linear
+recurrences", SIAM J. Comput. 14(1), 1985).  With the characteristic
+polynomial chi(x) = x**d - c1*x**(d-1) - ... - cd and x**m = r(x) mod chi,
+U(n+m) = sum_i r_i*U(n+i) for every n, so the d values from seed_start + m
+on are r applied to the first 2d-1 terms.  r comes from repeated squaring
+mod chi in O(d**2 log m) big-int products.  Below the seeds, x**-1 =
+g(x)/cd mod chi, where x*g(x) = chi(x) + cd has integer coefficients, so
+x**-m = g**m / cd**m: the powers stay in integers and the one division by
+cd**m comes at the end.  Memory is the size of the values returned, not of
+every term between them and the seeds.
+
+All arithmetic is exact: plain Python ints, or Fractions when a spec opts
+into rational mode and a value below the seeds is not an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from ._kernels_py import fib_pair, fill_forward
 
@@ -98,65 +113,88 @@ def _as_int_if_integral(v):
     return v
 
 
-def _extend_down(spec: SequenceSpec, count: int) -> list:
-    """Values U(seed_start - count) .. U(seed_start - 1), oldest first.
+def _reduce(t: list, coeffs: list) -> list:
+    """t mod chi, for polynomials as coefficient lists, lowest degree first:
+    x**d = c1*x**(d-1) + ... + cd folds each term above degree d-1 down."""
+    d = len(coeffs)
+    for k in range(len(t) - 1, d - 1, -1):
+        top = t[k]
+        if top:
+            for i, c in enumerate(coeffs, start=1):
+                t[k - i] += c * top
+    return t[:d]
 
-    Solves the recurrence for its lowest term: with window holding
-    U(m+1)..U(m+d), U(m) = (U(m+d) - sum_{i<d} ci*U(m+d-i)) / cd.
-    """
-    if count <= 0:
-        return []
-    if not spec.invertible():
-        raise NonInvertibleStepError(
-            f"cannot extend {spec.name!r} backward: trailing coefficient "
-            f"{spec.coeffs[-1]} is not a unit (enable rational mode)"
-        )
-    d = spec.order
-    cd = spec.coeffs[-1]
-    window = list(spec.seeds)  # U(m+1)..U(m+d) as we walk m downward
-    out = []
-    for _ in range(count):
-        rest = 0
-        for i in range(d - 1):
-            rest += spec.coeffs[i] * window[d - 2 - i]
-        top = window[-1] - rest
-        if abs(cd) == 1:
-            v = top * cd  # cd in {1, -1}: exact division
-        else:
-            v = _as_int_if_integral(Fraction(top, cd))
-        out.append(v)
-        window = [v] + window[:-1]
-    out.reverse()
-    return out
+
+def _power(base: list, m: int, coeffs: list) -> list:
+    """base(x)**m mod chi, by squaring from the top bit of m down."""
+    d = len(coeffs)
+    r = [1] + [0] * (d - 1)
+    for bit in bin(m)[2:]:
+        t = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                t[2 * i] += a * a
+                a2 = 2 * a
+                for j in range(i + 1, d):
+                    t[i + j] += a2 * r[j]
+        r = _reduce(t, coeffs)
+        if bit == "1":
+            t = [0] * (d + len(base) - 1)
+            for i, a in enumerate(r):
+                for j, b in enumerate(base):
+                    t[i + j] += a * b
+            r = _reduce(t, coeffs)
+    return r
 
 
 def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
     """Sequence values at indices lo..hi inclusive.
 
-    Indices below the seed range are reached by backward extension and
-    raise NonInvertibleStepError when the spec does not permit it.
+    Jumps to U(lo)..U(lo+d-1) in O(d**2 log |lo - seed_start|) big-int
+    products (module docstring), then streams lo..hi from that window with
+    the recurrence, so memory is the size of the d + (hi - lo + 1) values
+    and a range starting at or next to the seeds costs what streaming it
+    from the seeds costs.  Indices below the seeds need a unit trailing
+    coefficient, or rational mode, and raise NonInvertibleStepError
+    otherwise.  In rational mode the window there is an integer one over
+    cd**(seed_start - lo), divided out at the end; each value is an int
+    when integral and a Fraction otherwise.
     """
     if lo > hi:
         raise ValueError(f"empty range {lo}..{hi}")
-    s = spec.seed_start
-    e = spec.seed_end
-    below = _extend_down(spec, s - lo) if lo < s else []
-    vals = below + list(spec.seeds)
-    if hi > e:
-        vals += fill_forward(list(spec.coeffs), vals[-spec.order:], hi - e)
-    # vals now covers min(lo, s) .. max(hi, e)
-    start = min(lo, s)
-    return vals[lo - start : hi - start + 1]
+    coeffs, seeds, s = list(spec.coeffs), list(spec.seeds), spec.seed_start
+    if lo >= s:
+        base, m, scale = [0, 1], lo - s, 1
+    elif spec.invertible():
+        # g(x) = x**(d-1) - c1*x**(d-2) - ... - c(d-1)
+        base, m, scale = [-c for c in coeffs[-2::-1]] + [1], s - lo, coeffs[-1] ** (s - lo)
+    else:
+        raise NonInvertibleStepError(
+            f"cannot extend {spec.name!r} backward: trailing coefficient "
+            f"{coeffs[-1]} is not a unit (enable rational mode)"
+        )
+    d, count = spec.order, hi - lo + 1
+    r = _power(base, m, coeffs)
+    head = seeds + fill_forward(coeffs, seeds, d - 1)  # U(s)..U(s+2d-2)
+    window = [sum(map(mul, r, head[j:j + d])) for j in range(d)]
+    vals = window[:count] + fill_forward(coeffs, window, count - d)
+    if scale == 1:
+        return vals
+    if scale == -1:
+        return [-v for v in vals]
+    return [_as_int_if_integral(Fraction(v, scale)) for v in vals]
 
 
 def eval_term(spec: SequenceSpec, n: int):
-    """Value of the sequence at index n by exact iteration."""
+    """Value of the sequence at index n, by the jump of eval_range."""
     return eval_range(spec, n, n)[0]
 
 
 def extend_backward(spec: SequenceSpec, n: int):
-    """Value at an index below the seed range, by running the recurrence
-    backward.  Raises NonInvertibleStepError if |cd| != 1 in integer mode."""
+    """Value at an index below the seed range: eval_range's jump through
+    x**-1, O(d**2 log(seed_start - n)) products.  Raises
+    NonInvertibleStepError if |cd| != 1 in integer mode; in rational mode
+    the value is an int when integral and a Fraction otherwise."""
     if n >= spec.seed_start:
         raise ValueError(
             f"index {n} is not below the seed range (starts at {spec.seed_start})"

@@ -243,6 +243,36 @@ def test_quiet_suppresses_output(capsys):
     assert out == ""
 
 
+class Rendered:
+    """A value that counts how often it is turned into text."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __str__(self):
+        self.count[0] += 1
+        return "7"
+
+
+def test_each_value_is_rendered_once_in_the_chosen_format_only(capsys, monkeypatch):
+    count = [0]
+    monkeypatch.setattr(cli, "eval_range", lambda spec, lo, hi: [Rendered(count)] * (hi - lo + 1))
+    monkeypatch.setattr(cli, "_map_chunks", lambda worker, bounds, jobs: [
+        (n, Rendered(count), Rendered(count), True) for lo, hi in bounds for n in range(lo, hi + 1)])
+    commands = [(("eval", "--spec", "builtin:fib", "--n", "5"), 1),
+                (("eval", "--spec", "builtin:fib", "--range", "1..3"), 3),
+                (("verify", "--range", "2..4"), 6)]  # lhs and rhs of 3 rows
+    for argv, values in commands:
+        for fmt in ("plain", "json", "csv"):
+            count[0] = 0
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0 and out
+            assert count[0] == values, (argv, fmt)
+        count[0] = 0
+        code, out, _ = run(capsys, *argv, "--quiet")
+        assert (code, out, count[0]) == (0, "", 0), argv
+
+
 def test_conjecture_plain_verified(capsys):
     code, out, _ = run(capsys, "conjecture", "--spec", "builtin:tribonacci",
                        "--probe-n", "40", "--verify-to", "100")
@@ -361,6 +391,38 @@ def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("seqident: error:") and str(cli.MAX_INDEX) in err
+
+
+def test_eval_indices_beyond_the_maximum_exit_two(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated an index beyond cli.MAX_EVAL_INDEX")
+
+    monkeypatch.setattr(cli, "eval_range", must_not_run)
+    for n in (cli.MAX_EVAL_INDEX + 1, -cli.MAX_EVAL_INDEX - 1, 10 ** 30):
+        code, out, err = run(capsys, "eval", "--spec", "builtin:fib", f"--n={n}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"seqident: error: eval --n {n} ")
+        assert str(cli.MAX_EVAL_INDEX) in err
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_eval_at_the_maximum_index_runs_in_bounded_memory():
+    # Storing every term from the seeds fails under this limit at n = 200,000.
+    src = os.path.dirname(os.path.dirname(seqident.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for n in (cli.MAX_EVAL_INDEX, -cli.MAX_EVAL_INDEX):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqident.cli", "eval", "--spec", "builtin:fib",
+             f"--n={n}", "--quiet"],
+            env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 REFUTED_CSV = (

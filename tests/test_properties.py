@@ -1,11 +1,18 @@
-"""Property tests over generated specs: the identity scan, the conjecture
-pipeline and collection, each against plain loops written here.
+"""Property tests over generated specs: sequence evaluation, the identity
+scan, the conjecture pipeline and collection, each against plain loops
+written here.
 
 Specs have order 1-4, coefficients in -3..3, a unit trailing coefficient
 (so every spec runs backward in integers), seeds in -3..3 and seed starts
-in -3..3.  Examples are derandomized so every run checks the same cases.
+in -3..3; the evaluation properties also take order 5, trailing
+coefficients +-2 and +-3 and rational mode.  Examples are derandomized so
+every run checks the same cases.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +27,9 @@ from seqident.conjecture import (
     conjecture,
     verify_conjecture,
 )
+from seqident.dsl import format_spec, parse
 from seqident.expansion import sum_expansions
-from seqident.sequences import SequenceSpec
+from seqident.sequences import NonInvertibleStepError, SequenceSpec, eval_range
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 small = st.integers(-3, 3)
@@ -36,6 +44,26 @@ def specs(draw):
 
 
 @st.composite
+def any_specs(draw):
+    order = draw(st.integers(1, 5))
+    trailing = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+    coeffs = [draw(small) for _ in range(order - 1)] + [trailing]
+    seeds = [draw(small) for _ in range(order)]
+    return SequenceSpec("U", tuple(coeffs), tuple(seeds), seed_start=draw(small),
+                        rational=draw(st.booleans()))
+
+
+@st.composite
+def windows(draw, spec):
+    """lo <= hi in -80..300: below the seeds, from them up, or straddling them."""
+    s = spec.seed_start
+    kind = draw(st.sampled_from(("below", "above", "straddle")))
+    lo = draw(st.integers(-80, s - 1) if kind != "above" else st.integers(s, 300))
+    hi = draw(st.integers(lo, s - 1) if kind == "below" else st.integers(max(lo, s), 300))
+    return lo, hi
+
+
+@st.composite
 def recurrences(draw):
     order = draw(st.integers(1, 3))
     coeffs = tuple(draw(st.integers(-2, 2)) for _ in range(order))
@@ -44,14 +72,22 @@ def recurrences(draw):
 
 
 def values(spec, lo, hi):
-    """{i: U(i)} for lo <= i <= hi, stepping out from the seeds one term at a time."""
+    """{i: U(i)} for lo <= i <= hi, stepping out from the seeds one term at a
+    time; backward by solving U(m+d) = c1*U(m+d-1) + ... + cd*U(m) for U(m).
+    None when that needs dividing by a non-unit cd in integer mode."""
     d, c = spec.order, spec.coeffs
     u = {spec.seed_start + i: v for i, v in enumerate(spec.seeds)}
     for n in range(spec.seed_start + d, hi + 1):
         u[n] = sum(c[i] * u[n - 1 - i] for i in range(d))
     for m in range(spec.seed_start - 1, lo - 1, -1):
-        # U(m+d) = sum_i c[i]*U(m+d-1-i); solve for U(m), c[d-1] = +-1
-        u[m] = (u[m + d] - sum(c[i] * u[m + d - 1 - i] for i in range(d - 1))) * c[d - 1]
+        top = u[m + d] - sum(c[i] * u[m + d - 1 - i] for i in range(d - 1))
+        if abs(c[-1]) == 1:
+            u[m] = top * c[-1]
+        elif spec.rational:
+            q = Fraction(top, c[-1])
+            u[m] = q.numerator if q.denominator == 1 else q
+        else:
+            return None
     return u
 
 
@@ -81,6 +117,28 @@ def plain_first_failure(conj, lo, hi):
 
 def as_tuple(failure):
     return None if failure is None else (failure.n, failure.lhs, failure.rhs)
+
+
+@SETTINGS
+@given(st.data())
+def test_eval_range_matches_stepping_one_term_at_a_time(data):
+    spec = data.draw(any_specs())
+    lo, hi = data.draw(windows(spec))
+    u = values(spec, lo, hi)
+    if u is None:
+        with pytest.raises(NonInvertibleStepError):
+            eval_range(spec, lo, hi)
+        return
+    got, expected = eval_range(spec, lo, hi), [u[n] for n in range(lo, hi + 1)]
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+@SETTINGS
+@given(any_specs())
+def test_format_then_parse_round_trips(spec):
+    # The text format has no rational marker: parsed specs are integer-mode.
+    assert parse(format_spec(spec)) == replace(spec, rational=False)
 
 
 @SETTINGS

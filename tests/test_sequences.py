@@ -92,6 +92,14 @@ def test_eval_range_matches_fast_doubling():
     assert eval_range(LUCAS, 0, 30) == [lucas(n) for n in range(31)]
 
 
+def test_eval_range_jumps_far_from_the_seeds():
+    assert eval_range(FIBONACCI, 10**6, 10**6)[0] == fib(10**6)
+    assert eval_range(FIBONACCI, 5000, 5003) == [fib(n) for n in range(5000, 5004)]
+    # L(-n) = (-1)^n * L(n)
+    assert eval_range(LUCAS, -100000, -99997) == [
+        (-1) ** n * lucas(n) for n in range(100000, 99996, -1)]
+
+
 def test_eval_range_below_seeds():
     # F(-n) = (-1)^(n+1) * F(n)
     assert eval_range(FIBONACCI, -5, 2) == [5, -3, 2, -1, 1, 0, 1, 1]
