@@ -10,89 +10,81 @@ coefficients per shift.  The package evaluates the sequences exactly,
 reproduces the expansion and collection steps, verifies the identity over
 ranges, replays the inductive proof, and runs the same pipeline on other
 integer recurrences to discover and brute-force-verify their analogues.
+
+The public names are loaded on first use (PEP 562), so importing the
+package, or running one CLI subcommand, loads only the submodules used.
 """
 
-from .conjecture import (
-    ConjecturedIdentity,
-    Recurrence,
-    ResidualRule,
-    collect_general,
-    conjecture,
-    detect_min_recurrence,
-    verify_conjecture,
-)
-from .dsl import SpecSyntaxError, format_spec, parse, parse_all
-from .expansion import (
-    CollectedWeights,
-    LinearForm,
-    expansion,
-    form_value_at,
-    initial_form,
-    substitute_min_shift,
-    sum_expansions,
-    validate_form,
-)
-from .sequences import (
-    FIBONACCI,
-    LUCAS,
-    TRIBONACCI,
-    NonInvertibleStepError,
-    SequenceSpec,
-    eval_range,
-    eval_term,
-    extend_backward,
-    fib,
-    lucas,
-)
-from .verify import (
-    Failure,
-    IdentityReport,
-    check_identity,
-    check_range,
-    convolution_sum,
-    inductive_step_check,
-    reindex_equal,
-    weights_are_lucas,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SequenceSpec",
-    "NonInvertibleStepError",
-    "FIBONACCI",
-    "LUCAS",
-    "TRIBONACCI",
-    "fib",
-    "lucas",
-    "eval_term",
-    "eval_range",
-    "extend_backward",
-    "LinearForm",
-    "CollectedWeights",
-    "initial_form",
-    "substitute_min_shift",
-    "expansion",
-    "sum_expansions",
-    "form_value_at",
-    "validate_form",
-    "Failure",
-    "IdentityReport",
-    "convolution_sum",
-    "check_identity",
-    "check_range",
-    "inductive_step_check",
-    "reindex_equal",
-    "weights_are_lucas",
-    "Recurrence",
-    "ResidualRule",
-    "ConjecturedIdentity",
-    "collect_general",
-    "detect_min_recurrence",
-    "conjecture",
-    "verify_conjecture",
-    "SpecSyntaxError",
-    "parse",
-    "parse_all",
-    "format_spec",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "SequenceSpec": "sequences",
+    "NonInvertibleStepError": "sequences",
+    "FIBONACCI": "sequences",
+    "LUCAS": "sequences",
+    "TRIBONACCI": "sequences",
+    "fib": "sequences",
+    "lucas": "sequences",
+    "eval_term": "sequences",
+    "eval_range": "sequences",
+    "extend_backward": "sequences",
+    "LinearForm": "expansion",
+    "CollectedWeights": "expansion",
+    "initial_form": "expansion",
+    "substitute_min_shift": "expansion",
+    "expansion": "expansion",
+    "sum_expansions": "expansion",
+    "form_value_at": "expansion",
+    "validate_form": "expansion",
+    "Failure": "verify",
+    "IdentityReport": "verify",
+    "convolution_sum": "verify",
+    "check_identity": "verify",
+    "check_range": "verify",
+    "inductive_step_check": "verify",
+    "reindex_equal": "verify",
+    "weights_are_lucas": "verify",
+    "Recurrence": "conjecture",
+    "ResidualRule": "conjecture",
+    "ConjecturedIdentity": "conjecture",
+    "collect_general": "conjecture",
+    "detect_min_recurrence": "conjecture",
+    "conjecture": "conjecture",
+    "verify_conjecture": "conjecture",
+    "SpecSyntaxError": "dsl",
+    "parse": "dsl",
+    "parse_all": "dsl",
+    "format_spec": "dsl",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        # Importing the submodule `expansion` or `conjecture` binds it here
+        # under the name of the function it exports; the function stays.
+        if not (name in _EXPORTS and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -15,9 +15,17 @@ whatever K is, and output bytes never change), --quiet.
 Structured formats render big integers as decimal strings, never floats,
 and contain no timestamps, so identical inputs produce identical bytes.
 
-verify's range end, collect's --n and conjecture's --probe-n and
---verify-to are at most MAX_INDEX; eval's --n is within
--MAX_EVAL_INDEX..MAX_EVAL_INDEX.
+verify's range end, collect's --n, expand's --depth and conjecture's
+--probe-n and --verify-to are at most MAX_INDEX; eval's --n is within
+-MAX_EVAL_INDEX..MAX_EVAL_INDEX.  eval prints at most MAX_EVAL_BITS bits:
+before evaluating, the width of its range (1 for --n) times a bound on the
+bits of the farther end's value, from the spec alone, is checked against it.
+
+Each subcommand loads only the modules it runs: every one loads
+sequences; verify adds verify, expand and collect add expansion, and
+conjecture adds expansion, verify and conjecture.  A --spec file adds dsl,
+json and csv load only for their --format, and the process pool only when
+verify --inductive runs chunks in parallel.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors.
@@ -26,18 +34,16 @@ index is printed), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import re
 import sys
 
-from .conjecture import VERIFIED, conjecture
-from .dsl import SpecSyntaxError, parse_all
-from .expansion import expansion, sum_expansions
+# Every command evaluates sequences.  Each other module is imported by the
+# function that runs it (dsl, expansion, verify, conjecture, json, csv and
+# the process pool), so a process loads only what its subcommand runs;
+# without a bytecode cache, every module loaded is compiled on every start.
 from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
-from .verify import fibonacci_rows, inductive_rows
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
@@ -52,9 +58,9 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 # n**2 is within 0.004 s of the fastest at every hi.
 _ROW_COST_EXPONENT = 2
 
-# The largest index for verify's --range, collect's --n and conjecture's
-# --probe-n and --verify-to.  The F and L tables up to H take about
-# 0.087*H**2 bytes together: 8.7 MB at 10,000.  The scan packs them into two
+# The largest index for verify's --range, collect's --n, expand's --depth
+# and conjecture's --probe-n and --verify-to.  The F and L tables up to H
+# take about 0.087*H**2 bytes together: 8.7 MB at 10,000.  The scan packs them into two
 # operands of about as many decimal digits (21M at 10,000), and multiplying
 # those takes a transient of about 15 times the tables: `verify --range
 # 2..10000 --format json` peaks at 167 MB RSS, in 7 s, and the peak is the
@@ -66,9 +72,20 @@ MAX_INDEX = 10_000
 # keeps only the values it prints: `eval --spec builtin:fib --n=1000000`
 # peaks at 17 MB RSS (a bare interpreter: 14 MB) and takes about 0.25 s
 # with --quiet, 0.95 s in plain, where turning the 208,988-digit value into
-# text takes 0.75 s (2 cores, Python 3.11).  --range has no bound: its
-# memory is that of the values it prints.
+# text takes 0.75 s (2 cores, Python 3.11).
 MAX_EVAL_INDEX = 1_000_000
+
+# The most bits eval prints: before evaluating, the width of the range (1
+# for --n) times a bound on the bits of its farther end's value
+# (_value_bits_bound) must not exceed it.  Memory follows the output, json's
+# the most (each value is held as an int, as text, quoted, joined and
+# encoded): a window holding 75% of the budget, G(n) = 15*G(n-1) at
+# 4000..7384, peaks at 93 MB RSS in json and 49 MB in plain or csv, in 3-4 s
+# (2 cores, Python 3.11).  The benchmark's widest eval window, 200 values of
+# about 6000 bits, is bounded at 7% of the budget.  Time is another matter:
+# int-to-text is quadratic in Python 3.11, so one value of 1.9M bits takes
+# 6 s to print, and one of the whole budget would take hours.
+MAX_EVAL_BITS = 100_000_000
 
 
 class CliError(Exception):
@@ -88,6 +105,8 @@ def _load_spec(arg: str, name: str | None) -> SequenceSpec:
             source = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read spec file {arg!r}: {exc}") from exc
+    from .dsl import SpecSyntaxError, parse_all
+
     try:
         specs = parse_all(source)
     except SpecSyntaxError as exc:
@@ -119,6 +138,32 @@ def _check_index(what: str, n: int) -> None:
         raise CliError(f"{what} {n} is above the largest supported index {MAX_INDEX}")
 
 
+def _value_bits_bound(spec: SequenceSpec, n: int) -> float:
+    """An upper bound (up to rounding) on the bits of U(n), numerator and
+    denominator together, from the spec alone.  Each step away from the
+    seeds, either way, multiplies the largest |value| of a window of d terms
+    by at most 1 + sum|c_i|; below the seeds in rational mode it can also
+    multiply the denominator by |c_d|."""
+    step = math.log2(1 + sum(map(abs, spec.coeffs)))
+    if n < spec.seed_start:
+        distance = spec.seed_start - n
+        if spec.rational:
+            step += math.log2(abs(spec.coeffs[-1]))
+    else:
+        distance = max(0, n - spec.seed_end)
+    return max(abs(v) for v in spec.seeds).bit_length() + distance * step
+
+
+def _check_output_budget(what: str, spec: SequenceSpec, lo: int, hi: int) -> None:
+    try:
+        bits = (hi - lo + 1) * max(_value_bits_bound(spec, lo), _value_bits_bound(spec, hi))
+    except OverflowError:  # beyond the float range: far over the budget
+        bits = math.inf
+    if bits > MAX_EVAL_BITS:
+        raise CliError(f"eval {what} could print more than {MAX_EVAL_BITS} bits, "
+                       f"the output budget")
+
+
 def _emit(args, plain_lines, record, csv_header: list[str], csv_rows) -> None:
     """Print the output in --format, nothing under --quiet.  plain_lines,
     record and csv_rows are functions building the plain lines, the JSON
@@ -130,8 +175,12 @@ def _emit(args, plain_lines, record, csv_header: list[str], csv_rows) -> None:
         for line in plain_lines():
             print(line)
     elif args.format == "json":
+        import json
+
         print(json.dumps(record(), indent=2))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header)
         writer.writerows(csv_rows())
@@ -181,11 +230,15 @@ def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
 
 def _identity_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
     """(n, lhs, rhs, ok) rows for the identity over one chunk."""
+    from .verify import fibonacci_rows
+
     return list(fibonacci_rows(*bounds))
 
 
 def _inductive_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
     """(m, S(m+1), decomposition, ok) rows over one chunk."""
+    from .verify import inductive_rows
+
     return list(inductive_rows(*bounds))
 
 
@@ -196,8 +249,11 @@ def cmd_eval(args) -> int:
     spec = _load_spec(args.spec, args.name)
     if args.n is not None:
         lo = hi = args.n
+        what = f"--n {args.n}"
     else:
         lo, hi = _parse_range(args.range)
+        what = f"--range {args.range}"
+    _check_output_budget(what, spec, lo, hi)
     try:
         values = eval_range(spec, lo, hi)
     except ValueError as exc:
@@ -226,6 +282,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .expansion import expansion
+
+    _check_index("expand --depth", args.depth)
     spec = _load_spec(args.spec, args.name)
     try:
         form = expansion(spec, args.depth)
@@ -255,6 +314,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_collect(args) -> int:
+    from .expansion import sum_expansions
+
     _check_index("collect --n", args.n)
     spec = _load_spec(args.spec, args.name)
     try:
@@ -340,6 +401,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .conjecture import VERIFIED, conjecture
+
     _check_index("--verify-to", args.verify_to)
     _check_index("--probe-n", args.probe_n)
     spec = _load_spec(args.spec, args.name)

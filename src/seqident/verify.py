@@ -19,8 +19,11 @@ from fractions import Fraction
 from operator import add
 
 from ._kernels_py import convolution_values, dot_product
-from .expansion import CollectedWeights
 from .sequences import FIBONACCI, LUCAS, SequenceSpec, eval_range, fib, lucas
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .expansion import CollectedWeights  # an annotation only
 
 
 @dataclass(frozen=True)

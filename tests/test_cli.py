@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,11 @@ def iter_fib(n):
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def child_env():
+    """The environment of a child process that imports this source tree."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqident.__file__)))
 
 
 def run(capsys, *argv):
@@ -194,12 +200,35 @@ def test_dead_worker_falls_back_to_serial(capsys, monkeypatch):
 
 
 def test_import_does_not_load_the_process_pool():
-    src = os.path.dirname(os.path.dirname(seqident.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, seqident.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "False\n"
+
+
+def modules_loaded_by(*argv):
+    """The modules a `python -m seqident.cli` process imports, read from
+    -X importtime; -S keeps the start-up hooks of site-packages out."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "seqident.cli",
+                           *argv], env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs():
+    common = {"seqident.sequences", "seqident._kernels_py"}  # cli runs as __main__
+    cases = [
+        (("eval", "--spec", "builtin:fib", "--n=18000"), common, set()),
+        (("verify", "--range=2..300", "--format", "csv", "--jobs", "1"),
+         common | {"seqident.verify"}, {"csv"}),
+        (("conjecture", "--spec", "builtin:trib", "--probe-n", "20", "--verify-to", "100"),
+         common | {"seqident.verify", "seqident.expansion", "seqident.conjecture"}, set()),
+    ]
+    for argv, submodules, stdlib in cases:
+        loaded = modules_loaded_by(*argv)
+        assert {m for m in loaded if m.startswith("seqident.")} == submodules, argv
+        assert loaded & {"json", "csv", "concurrent.futures"} == stdlib, argv
 
 
 def test_nonpositive_jobs_exit_two(capsys):
@@ -367,9 +396,13 @@ def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("evaluated an index above cli.MAX_INDEX")
 
+    # cli imports these where it runs them, so they are stubbed where defined.
+    conjecture = importlib.import_module("seqident.conjecture")
+    expansion = importlib.import_module("seqident.expansion")
     monkeypatch.setattr(cli, "_map_chunks", must_not_run)
-    monkeypatch.setattr(cli, "conjecture", must_not_run)
-    monkeypatch.setattr(cli, "sum_expansions", must_not_run)
+    monkeypatch.setattr(conjecture, "conjecture", must_not_run)
+    monkeypatch.setattr(expansion, "sum_expansions", must_not_run)
+    monkeypatch.setattr(expansion, "expansion", must_not_run)
     commands = [
         ("collect", "--spec", "builtin:fib", "--n", str(10 ** 9)),
         ("collect", "--spec", "builtin:fib", "--n", str(cli.MAX_INDEX + 1)),
@@ -385,6 +418,8 @@ def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
         ("verify", f"--range=2..{cli.MAX_INDEX + 1}"),
         ("conjecture", "--spec", "builtin:trib", "--probe-n", "40",
          "--verify-to", str(cli.MAX_INDEX + 1)),
+        ("expand", "--spec", "builtin:fib", f"--depth={10 ** 9}"),
+        ("expand", "--spec", "builtin:fib", f"--depth={cli.MAX_INDEX + 1}"),
     ]
     for argv in commands:
         code, out, err = run(capsys, *argv)
@@ -406,23 +441,64 @@ def test_eval_indices_beyond_the_maximum_exit_two(capsys, monkeypatch):
         assert str(cli.MAX_EVAL_INDEX) in err
 
 
-def _limit_address_space():
+def _limit_address_space(megabytes=256):
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+    resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
 
 
 def test_eval_at_the_maximum_index_runs_in_bounded_memory():
     # Storing every term from the seeds fails under this limit at n = 200,000.
-    src = os.path.dirname(os.path.dirname(seqident.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     for n in (cli.MAX_EVAL_INDEX, -cli.MAX_EVAL_INDEX):
         proc = subprocess.run(
             [sys.executable, "-m", "seqident.cli", "eval", "--spec", "builtin:fib",
              f"--n={n}", "--quiet"],
-            env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
+            env=child_env(), preexec_fn=_limit_address_space, capture_output=True, text=True,
             timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_eval_output_over_the_budget_exits_two(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated an output over cli.MAX_EVAL_BITS")
+
+    monkeypatch.setattr(cli, "eval_range", must_not_run)
+    path = tmp_path / "b.seq"
+    path.write_text(f"seq B: B(n) = {2 ** 200}*B(n-1); B(0)=1\n", encoding="utf-8")
+    far = 10 ** 400  # beyond the float range
+    for argv in [("--spec", "builtin:fib", "--range=0..100000000"),
+                 ("--spec", "builtin:fib", "--range=0..40000"),
+                 ("--spec", "builtin:trib", "--range=-60000..-59000"),
+                 ("--spec", "builtin:fib", f"--range=0..{far}"),
+                 ("--spec", "builtin:fib", f"--range={far}..{far}"),
+                 ("--spec", str(path), "--n=1000000")]:
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("seqident: error: eval --") and str(cli.MAX_EVAL_BITS) in err
+
+
+def test_eval_output_at_the_budget_runs_in_bounded_memory(tmp_path):
+    # G gains log2(15) = 3.91 bits a step, against 4 in the bound, so the
+    # widest window from 4000 up that the budget admits, 4000..7384, holds
+    # 75% of MAX_EVAL_BITS in its values.
+    path = tmp_path / "g.seq"
+    path.write_text("seq G: G(n) = 15*G(n-1); G(0)=1\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "seqident.cli", "eval", "--spec", str(path)]
+    over = subprocess.run(argv + ["--range=4000..7385"], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert over.returncode == 2 and "output budget" in over.stderr
+    procs = []
+    for fmt in ("plain", "json", "csv"):
+        with open(tmp_path / fmt, "wb") as out:
+            procs.append((fmt, subprocess.Popen(
+                argv + ["--range=4000..7384", "--format", fmt], env=child_env(),
+                preexec_fn=lambda: _limit_address_space(512), stdout=out,
+                stderr=subprocess.PIPE)))
+    for fmt, proc in procs:
+        err = proc.communicate(timeout=300)[1]
+        assert (proc.returncode, err) == (0, b""), fmt
+        assert (tmp_path / fmt).stat().st_size * math.log2(10) > 0.7 * cli.MAX_EVAL_BITS
 
 
 REFUTED_CSV = (

@@ -1,0 +1,54 @@
+"""Tests for the package's public names, which load on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import seqident
+
+
+def in_child(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqident.__file__)))
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def test_every_public_name_is_the_object_its_submodule_defines():
+    for name in seqident.__all__:
+        module = importlib.import_module(f"seqident.{seqident._EXPORTS[name]}")
+        assert getattr(seqident, name) is getattr(module, name), name
+
+
+def test_a_submodule_import_does_not_hide_the_function_of_its_name():
+    # `expansion` and `conjecture` name both a submodule and its function.
+    out = in_child("import seqident.expansion, seqident.conjecture, seqident; "
+                   "print(type(seqident.expansion).__name__, "
+                   "type(seqident.conjecture).__name__)")
+    assert out == "function function\n"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from seqident import *", namespace)
+    for name in seqident.__all__:
+        assert namespace[name] is getattr(seqident, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        seqident.no_such_name
+    assert not hasattr(seqident, "cli_main")
+
+
+def test_dir_lists_every_public_name():
+    assert set(seqident.__all__) <= set(dir(seqident))
+
+
+def test_a_bare_import_loads_no_submodule():
+    out = in_child("import sys, seqident; "
+                   "print(sorted(m for m in sys.modules if m.startswith('seqident.')))")
+    assert out == "[]\n"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqident.cli import _value_bits_bound
 from seqident.conjecture import (
     REFUTED,
     UNDETERMINED,
@@ -132,6 +133,22 @@ def test_eval_range_matches_stepping_one_term_at_a_time(data):
     got, expected = eval_range(spec, lo, hi), [u[n] for n in range(lo, hi + 1)]
     assert got == expected
     assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+@SETTINGS
+@given(st.data())
+def test_value_bits_bound_covers_every_value(data):
+    # The bound is on log2 of the numerator and the denominator together, so
+    # their bit lengths, each rounded up, may exceed it by under 2.
+    spec = data.draw(any_specs())
+    lo, hi = data.draw(windows(spec))
+    u = values(spec, lo, hi)
+    if u is None:
+        return
+    for n in range(lo, hi + 1):
+        v = Fraction(u[n])
+        assert (abs(v.numerator).bit_length() + v.denominator.bit_length()
+                < _value_bits_bound(spec, n) + 2), n
 
 
 @SETTINGS
