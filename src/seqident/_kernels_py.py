@@ -1,9 +1,13 @@
 """Pure-Python compute kernels.
 
-Fast-doubling Fibonacci pairs, forward recurrence fills, big-integer dot
-products and the convolution scan used by the range verifier.  All
-arithmetic is exact: Python ints, Fractions, and integral Decimals in a
-context that traps every rounding.
+Big-integer dot products and the convolution scan used by the range
+verifier.  All arithmetic is exact: Python ints, Fractions, and integral
+Decimals in a context that traps every rounding.
+
+fib_pair and fill_forward live in sequences; they are re-exported here only
+because the benchmark's tracer (seqbench/tracing.py) finds every kernel as
+``seqident._backend.kernels.<name>``, until the library records its own
+spans (ROADMAP item 1).
 
 The convolution scan sums the pairs weights[k]*values[j] over the band
 {k, j >= 1, lo <= k+j <= hi} by Kronecker substitution.  Each side is
@@ -37,6 +41,8 @@ from itertools import accumulate
 from math import lcm
 from operator import add, mul
 
+from .sequences import fib_pair, fill_forward  # noqa: F401  (the tracer's names)
+
 # A block is one product when it has at least this many pairs in the band
 # per coefficient packed; a product's cost grows with its packed length, the
 # direct sums' with their pairs.  Timed on CPython 3.11 (2 cores), a product
@@ -50,39 +56,6 @@ _SPLIT_COST = 48
 _CONTEXT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow])
-
-
-def fib_pair(n: int) -> tuple[int, int]:
-    """Return (F(n), F(n+1)) for n >= 0 by fast doubling.
-
-    Uses F(2k) = F(k)*(2*F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2,
-    walking the bits of n from the top.  O(log n) big-int multiplications.
-    """
-    a, b = 0, 1  # F(0), F(1)
-    for i in range(n.bit_length() - 1, -1, -1):
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if (n >> i) & 1:
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return a, b
-
-
-def fill_forward(coeffs: list, window: list, count: int) -> list:
-    """Extend a linear recurrence forward by `count` steps.
-
-    `window` holds the d most recent values U(s)..U(s+d-1); coeffs[i] is
-    the coefficient of U(n-1-i).  Returns [U(s+d), ..., U(s+d+count-1)].
-    """
-    d = len(coeffs)
-    vals = list(window)
-    for _ in range(count):
-        acc = coeffs[0] * vals[-1]
-        for i in range(1, d):
-            acc += coeffs[i] * vals[-1 - i]
-        vals.append(acc)
-    return vals[d:]
 
 
 def dot_product(xs: list, ys: list) -> object:

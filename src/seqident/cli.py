@@ -22,10 +22,13 @@ before evaluating, the width of its range (1 for --n) times a bound on the
 bits of the farther end's value, from the spec alone, is checked against it.
 
 Each subcommand loads only the modules it runs: every one loads
-sequences; verify adds verify, expand and collect add expansion, and
-conjecture adds expansion, verify and conjecture.  A --spec file adds dsl,
-json and csv load only for their --format, and the process pool only when
-verify --inductive runs chunks in parallel.
+sequences; expand and collect add expansion; verify adds verify with the
+scan kernel (_kernels_py, which loads fractions and decimal), and
+conjecture adds those and expansion and conjecture.  A --spec file adds
+dsl, json and csv load only for their --format, and the process pool only
+when verify --inductive runs chunks in parallel.  No command loads
+dataclasses, and eval, expand and collect never load fractions: the specs
+the CLI reads are integer-mode.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors.

@@ -17,13 +17,12 @@ status and, when refuted, the least failing index.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
-from ._kernels_py import fill_forward
 from .expansion import CollectedWeights, sum_expansions
-from .sequences import SequenceSpec, _as_int_if_integral, eval_range
-from .verify import Failure, IdentityReport, identity_rows, scan_report
+from .sequences import SequenceSpec, eval_range, fill_forward
+from .verify import IdentityReport, identity_rows, require_range, scan_report
 
 DEFAULT_MAX_ORDER = 8
 
@@ -32,20 +31,17 @@ REFUTED = "refuted"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(namedtuple("Recurrence", "order coeffs")):
     """A constant-coefficient rule v(i) = sum_{j=1}^{order} coeffs[j-1]*v(i-j)."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ()
 
     def extend(self, seeds, count: int) -> list:
         """The `count` values following `seeds` under this recurrence."""
         return fill_forward(list(self.coeffs), list(seeds[-self.order:]), count)
 
 
-@dataclass(frozen=True)
-class ResidualRule:
+class ResidualRule(namedtuple("ResidualRule", "offset recurrence seeds start_n constant")):
     """Generator for the residual coefficient at shift n + offset.
 
     The coefficient sequence rho(n), n >= start_n, is given by `seeds` and
@@ -53,15 +49,12 @@ class ResidualRule:
     (computed by backward extension where necessary).
     """
 
-    offset: int
-    recurrence: Recurrence
-    seeds: tuple
-    start_n: int
-    constant: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConjecturedIdentity:
+class ConjecturedIdentity(namedtuple("ConjecturedIdentity", (
+        "spec", "weight_recurrence", "weight_seeds", "residual_rules",
+        "verified_lo", "verified_hi", "status", "first_failure"), defaults=(None,))):
     """A detected weight identity for one sequence spec.
 
     verified_lo/hi give the range the brute-force check ran over; the
@@ -69,14 +62,7 @@ class ConjecturedIdentity:
     that check's least failing index, set exactly when status == "refuted".
     """
 
-    spec: SequenceSpec
-    weight_recurrence: Recurrence | None
-    weight_seeds: tuple
-    residual_rules: tuple[ResidualRule, ...]
-    verified_lo: int
-    verified_hi: int
-    status: str
-    first_failure: Failure | None = None
+    __slots__ = ()
 
 
 def _solve_exact(rows: list[list], rhs: list) -> list | None:
@@ -135,7 +121,7 @@ def detect_min_recurrence(values: list, max_order: int) -> Recurrence | None:
         sol = _solve_exact(rows, rhs)
         if sol is None:
             continue
-        coeffs = tuple(_as_int_if_integral(c) for c in sol)
+        coeffs = tuple(c.numerator if c.denominator == 1 else c for c in sol)
         fits = all(
             values[i] == sum(c * values[i - j] for j, c in enumerate(coeffs, start=1))
             for i in range(r, len(values))
@@ -183,8 +169,7 @@ def verify_conjecture(conj: ConjecturedIdentity, lo: int, hi: int) -> IdentityRe
     recurrences; sequence values come from plain forward/backward
     evaluation.  The expansion engine is never consulted.
     """
-    if lo < 2 or lo > hi:
-        raise ValueError(f"invalid range {lo}..{hi} (need 2 <= lo <= hi)")
+    require_range(lo, hi)
     if conj.weight_recurrence is None:
         raise ValueError("conjecture carries no detected weight recurrence")
     t0 = time.perf_counter()
@@ -209,14 +194,18 @@ def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
     across a window of consecutive collections, then verifies the whole
     identity for 2 <= n <= verify_hi by brute force.  Detection failure
     yields status "undetermined"; a fabricated identity is never returned.
+    The arguments are checked before any of this work.
     """
+    require_range(2, verify_hi)
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     need = 2 * max_order + 1
-    probe = collect_general(spec, probe_n)
-    if len(probe.weights) < need:
+    if 2 <= probe_n <= need:  # below 2, collect_general raises at once
         raise ValueError(
-            f"probe_n={probe_n} yields {len(probe.weights)} weights; "
+            f"probe_n={probe_n} yields {probe_n - 1} weights; "
             f"need at least {need} for max_order {max_order}"
         )
+    probe = collect_general(spec, probe_n)
     undetermined = ConjecturedIdentity(
         spec, None, (), (), 2, verify_hi, UNDETERMINED
     )
@@ -243,12 +232,11 @@ def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
             ResidualRule(offset, rrec, tuple(rho[: rrec.order]), 2, constant)
         )
 
-    candidate = replace(
-        undetermined,
+    candidate = undetermined._replace(
         weight_recurrence=wrec,
         weight_seeds=weight_seeds,
         residual_rules=tuple(rules),
     )
     report = verify_conjecture(candidate, 2, verify_hi)
-    return replace(candidate, status=VERIFIED if report.passed else REFUTED,
-                   first_failure=report.first_failure)
+    return candidate._replace(status=VERIFIED if report.passed else REFUTED,
+                              first_failure=report.first_failure)

@@ -9,25 +9,28 @@ boundary terms at shifts >= n (which multiply values at index <= 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .sequences import SequenceSpec, eval_term
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "spec terms")):
     """U(n) = sum over shifts k of terms[k] * U(n-k), with k >= 1.
 
-    Zero coefficients are never stored.  Treat instances as immutable.
+    Zero coefficients are never stored; terms is a new dict in shift order.
+    Treat instances as immutable.
     """
 
-    spec: SequenceSpec
-    terms: dict[int, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {k: c for k, c in sorted(self.terms.items()) if c != 0}
-        )
+    def __new__(cls, spec: SequenceSpec, terms: dict[int, int] | None = None):
+        terms = {k: c for k, c in sorted((terms or {}).items()) if c != 0}
+        return super().__new__(cls, spec, terms)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that _replace checks the fields too."""
+        return cls(*iterable)
 
     @property
     def min_shift(self) -> int:
@@ -38,8 +41,7 @@ class LinearForm:
         return max(self.terms)
 
 
-@dataclass(frozen=True)
-class CollectedWeights:
+class CollectedWeights(namedtuple("CollectedWeights", "n weights residual")):
     """Per-shift coefficients of the summed expansions at a target index n.
 
     weights[k-1] is the coefficient of U(n-k) for k = 1..n-1; residual maps
@@ -49,9 +51,7 @@ class CollectedWeights:
         sum_k weights[k-1]*U(n-k) + sum_k residual[k]*U(n-k) = (n-1)*U(n).
     """
 
-    n: int
-    weights: tuple[int, ...]
-    residual: dict[int, int]
+    __slots__ = ()
 
 
 def initial_form(spec: SequenceSpec) -> LinearForm:

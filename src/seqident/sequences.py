@@ -22,11 +22,8 @@ into rational mode and a value below the seeds is not an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from operator import mul
-
-from ._kernels_py import fib_pair, fill_forward
 
 
 class NonInvertibleStepError(ValueError):
@@ -34,34 +31,35 @@ class NonInvertibleStepError(ValueError):
     opts into rational mode."""
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "name coeffs seeds seed_start rational")):
     """An order-d linear recurrence U(n) = c1*U(n-1) + ... + cd*U(n-d).
 
     `seeds` are the first d values, starting at index `seed_start`.
     `rational` permits backward extension with |cd| != 1 by switching the
     extended values to exact fractions; the default is integer-only.
+
+    An immutable namedtuple, like the package's other records; __new__
+    normalises and checks the fields.
     """
 
-    name: str
-    coeffs: tuple[int, ...]
-    seeds: tuple[int, ...]
-    seed_start: int = 0
-    rational: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not self.name:
+    def __new__(cls, name: str, coeffs, seeds, seed_start: int = 0, rational: bool = False):
+        coeffs, seeds = tuple(coeffs), tuple(seeds)
+        if not name:
             raise ValueError("sequence name must be non-empty")
-        if len(self.coeffs) < 1:
+        if len(coeffs) < 1:
             raise ValueError("recurrence order must be at least 1")
-        if len(self.seeds) != len(self.coeffs):
-            raise ValueError(
-                f"need exactly {len(self.coeffs)} seeds, got {len(self.seeds)}"
-            )
-        if self.coeffs[-1] == 0:
+        if len(seeds) != len(coeffs):
+            raise ValueError(f"need exactly {len(coeffs)} seeds, got {len(seeds)}")
+        if coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero (true order)")
+        return super().__new__(cls, name, coeffs, seeds, seed_start, rational)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that _replace checks the fields too."""
+        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -91,6 +89,39 @@ BUILTIN_SPECS = {
 }
 
 
+def fib_pair(n: int) -> tuple[int, int]:
+    """Return (F(n), F(n+1)) for n >= 0 by fast doubling.
+
+    Uses F(2k) = F(k)*(2*F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2,
+    walking the bits of n from the top.  O(log n) big-int multiplications.
+    """
+    a, b = 0, 1  # F(0), F(1)
+    for i in range(n.bit_length() - 1, -1, -1):
+        c = a * (2 * b - a)
+        d = a * a + b * b
+        if (n >> i) & 1:
+            a, b = d, c + d
+        else:
+            a, b = c, d
+    return a, b
+
+
+def fill_forward(coeffs: list, window: list, count: int) -> list:
+    """Extend a linear recurrence forward by `count` steps.
+
+    `window` holds the d most recent values U(s)..U(s+d-1); coeffs[i] is
+    the coefficient of U(n-1-i).  Returns [U(s+d), ..., U(s+d+count-1)].
+    """
+    d = len(coeffs)
+    vals = list(window)
+    for _ in range(count):
+        acc = coeffs[0] * vals[-1]
+        for i in range(1, d):
+            acc += coeffs[i] * vals[-1 - i]
+        vals.append(acc)
+    return vals[d:]
+
+
 def fib(n: int) -> int:
     """F(n) under F(1) = F(2) = 1, F(0) = 0, in O(log n) multiplications."""
     if n < 0:
@@ -104,13 +135,6 @@ def lucas(n: int) -> int:
         raise ValueError(f"lucas index must be >= 0, got {n}")
     a, b = fib_pair(n)
     return 2 * b - a
-
-
-def _as_int_if_integral(v):
-    """A Fraction with denominator 1 as an int; anything else unchanged."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
 
 
 def _reduce(t: list, coeffs: list) -> list:
@@ -182,7 +206,12 @@ def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
         return vals
     if scale == -1:
         return [-v for v in vals]
-    return [_as_int_if_integral(Fraction(v, scale)) for v in vals]
+    # Imported here: integer specs, and every spec at or above its seeds,
+    # never load fractions (nor decimal and numbers, which it imports).
+    from fractions import Fraction
+
+    vals = [Fraction(v, scale) for v in vals]
+    return [v.numerator if v.denominator == 1 else v for v in vals]
 
 
 def eval_term(spec: SequenceSpec, n: int):

@@ -14,7 +14,7 @@ conjecture verifier and collect_general's cross-check all run on it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -26,28 +26,28 @@ if TYPE_CHECKING:
     from .expansion import CollectedWeights  # an annotation only
 
 
-@dataclass(frozen=True)
-class Failure:
-    """A single failing index with both sides of the identity."""
+class Failure(namedtuple("Failure", "n lhs rhs")):
+    """A single failing index with both sides of the identity: lhs is
+    (n-1)*F(n), rhs the convolution sum S(n)."""
 
-    n: int
-    lhs: int  # (n-1)*F(n)
-    rhs: int  # the convolution sum S(n)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "lo hi passed first_failure elapsed")):
     """Outcome of checking the identity over an index range."""
 
-    lo: int
-    hi: int
-    passed: bool
-    first_failure: Failure | None
-    elapsed: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed != (self.first_failure is None):
+    def __new__(cls, lo: int, hi: int, passed: bool, first_failure: Failure | None,
+                elapsed: float):
+        if passed != (first_failure is None):
             raise ValueError("passed must agree with absence of first_failure")
+        return super().__new__(cls, lo, hi, passed, first_failure, elapsed)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that _replace checks the fields too."""
+        return cls(*iterable)
 
 
 def convolution_sum(n: int, *, lucas_spec: SequenceSpec = LUCAS,
@@ -90,6 +90,12 @@ def fibonacci_rows(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
     return identity_rows(lo, hi, lucs, fibs)
 
 
+def require_range(lo: int, hi: int) -> None:
+    """Raise ValueError unless lo..hi is a range the identity scan checks."""
+    if lo < 2 or lo > hi:
+        raise ValueError(f"invalid range {lo}..{hi} (need 2 <= lo <= hi)")
+
+
 def scan_report(lo: int, hi: int, rows, t0: float) -> IdentityReport:
     """The report on identity_rows' rows for lo..hi, timed from perf_counter() t0."""
     failure = next((Failure(n, lhs, rhs) for n, lhs, rhs, ok in rows if not ok), None)
@@ -108,8 +114,7 @@ def check_range(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
     The spec arguments exist so tests can inject tampered sequences; the
     defaults are the real ones.
     """
-    if lo < 2 or lo > hi:
-        raise ValueError(f"invalid range {lo}..{hi} (need 2 <= lo <= hi)")
+    require_range(lo, hi)
     t0 = time.perf_counter()
     rows = fibonacci_rows(lo, hi, fib_spec=fib_spec, lucas_spec=lucas_spec)
     return scan_report(lo, hi, rows, t0)

@@ -217,18 +217,28 @@ def modules_loaded_by(*argv):
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs():
-    common = {"seqident.sequences", "seqident._kernels_py"}  # cli runs as __main__
+    # cli runs as __main__.  No subcommand loads dataclasses (which brings in
+    # inspect, ast, dis and tokenize); on builtin specs eval, expand and
+    # collect load neither the scan kernel nor fractions and decimal.
+    base = {"seqident.sequences"}
+    scan = base | {"seqident._kernels_py", "seqident.verify"}
+    exact = {"fractions", "decimal"}
     cases = [
-        (("eval", "--spec", "builtin:fib", "--n=18000"), common, set()),
-        (("verify", "--range=2..300", "--format", "csv", "--jobs", "1"),
-         common | {"seqident.verify"}, {"csv"}),
+        (("eval", "--spec", "builtin:fib", "--n=18000"), base, set()),
+        (("eval", "--spec", "builtin:trib", "--range=-40..40", "--format", "json"),
+         base, {"json"}),
+        (("expand", "--spec", "builtin:trib", "--depth=400", "--format", "csv"),
+         base | {"seqident.expansion"}, {"csv"}),
+        (("collect", "--spec", "builtin:fib", "--n=400"), base | {"seqident.expansion"}, set()),
+        (("verify", "--range=2..300", "--format", "csv", "--jobs", "1"), scan, exact | {"csv"}),
         (("conjecture", "--spec", "builtin:trib", "--probe-n", "20", "--verify-to", "100"),
-         common | {"seqident.verify", "seqident.expansion", "seqident.conjecture"}, set()),
+         scan | {"seqident.expansion", "seqident.conjecture"}, exact),
     ]
+    watched = exact | {"json", "csv", "concurrent.futures", "dataclasses", "inspect"}
     for argv, submodules, stdlib in cases:
         loaded = modules_loaded_by(*argv)
         assert {m for m in loaded if m.startswith("seqident.")} == submodules, argv
-        assert loaded & {"json", "csv", "concurrent.futures"} == stdlib, argv
+        assert loaded & watched == stdlib, argv
 
 
 def test_nonpositive_jobs_exit_two(capsys):

@@ -6,6 +6,7 @@ summation inside the tests before being compared with the pipeline's
 output, so nothing is assumed from the detection machinery itself.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,24 @@ def test_conjecture_undetermined_when_order_cap_too_low():
 def test_conjecture_probe_too_small():
     with pytest.raises(ValueError):
         conjecture(FIBONACCI, 5, 50)
+
+
+def test_conjecture_checks_its_arguments_before_collecting(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("collect_general ran before the arguments were checked")
+
+    # The package binds `seqident.conjecture` to the function of that name.
+    monkeypatch.setattr(importlib.import_module("seqident.conjecture"), "collect_general",
+                        unreachable)
+    cases = [((10_000, 1), {}, "invalid range 2..1"),
+             ((10_000, 100), {"max_order": 0}, "max_order must be >= 1, got 0"),
+             ((17, 100), {}, "probe_n=17 yields 16 weights; need at least 17 for max_order 8"),
+             ((7, 100), {"max_order": 3}, "probe_n=7 yields 6 weights; need at least 7")]
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            conjecture(TRIBONACCI, *args, **kwargs)
+    with pytest.raises(AssertionError):  # 18 yields enough: collection starts
+        conjecture(TRIBONACCI, 18, 100)
 
 
 def test_verify_conjecture_validation():
