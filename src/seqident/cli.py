@@ -67,8 +67,9 @@ _ROW_COST_EXPONENT = 2
 # operands of about as many decimal digits (21M at 10,000), and multiplying
 # those takes a transient of about 15 times the tables: `verify --range
 # 2..10000 --format json` peaks at 167 MB RSS, in 7 s, and the peak is the
-# scan's (--quiet peaks the same).  At 10,000, `collect --n` takes 1.1 s and
-# 63 MB, and `conjecture --probe-n` (trib) 2.0 s and 44 MB.
+# scan's (--quiet peaks the same).  At 10,000 (trib; 2 cores, Python 3.11),
+# `collect --n` takes 0.8 s and 55 MB, and `conjecture --probe-n` 0.7 s and
+# 28 MB at the default --max-order, 1.4 s and 40 MB at its largest, 4999.
 MAX_INDEX = 10_000
 
 # The largest |n| for eval's --n.  eval jumps to n in O(log n) products and

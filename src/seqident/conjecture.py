@@ -1,9 +1,9 @@
 """Discovery and brute-force verification of generalized weight identities.
 
 Runs the expand-collect-sum procedure on arbitrary integer recurrences
-(different seeds, order 3 and up), detects the minimal linear recurrence
-satisfied by the collected weights and by the residual coefficients, and
-verifies the resulting identity
+(different seeds, order 3 and up), detects by Berlekamp-Massey the minimal
+linear recurrence satisfied by the collected weights and by the residual
+coefficients (read from one running pass), and verifies the identity
 
     (n-1)*U(n) = sum_{k=1}^{n-1} a(k)*U(n-k) + residual terms
 
@@ -19,8 +19,9 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
-from .expansion import CollectedWeights, sum_expansions
+from .expansion import CollectedWeights, expansion_totals, sum_expansions
 from .sequences import SequenceSpec, eval_range, fill_forward
 from .verify import IdentityReport, identity_rows, require_range, scan_report
 
@@ -65,48 +66,43 @@ class ConjecturedIdentity(namedtuple("ConjecturedIdentity", (
     __slots__ = ()
 
 
-def _solve_exact(rows: list[list], rhs: list) -> list | None:
-    """Solve rows * x = rhs over exact rationals.
-
-    Returns one solution (free variables set to 0), or None when the
-    system is inconsistent.
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
+def _berlekamp_massey(values: list) -> tuple[int, list]:
+    """Linear complexity L of `values` and rationals c_1..c_L with
+    values[i] = sum_j c_j*values[i-j] at every i >= L, in one O(len*L) pass
+    (Massey, IEEE Trans. IT 1969).  c and b hold the connection polynomials
+    1 - sum c_j x^j now and before the last length change, bd that change's
+    discrepancy and m the steps since; len(c) <= L + 1 throughout."""
+    c, b = [1], [1]
+    L, m, bd = 0, 1, Fraction(1)
+    for i, v in enumerate(values):
+        d = v + sum(map(mul, c[1:], reversed(values[i - L:i])))
+        if d == 0:
+            m += 1
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return None  # 0 = nonzero: inconsistent
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
+        f, prev = d / bd, c
+        c = c + [0] * (m + len(b) - len(c))
+        for j, y in enumerate(b, start=m):
+            c[j] -= f * y
+        if 2 * L <= i:
+            L, b, bd, m = i + 1 - L, prev, Fraction(d), 1
+        else:
+            m += 1
+    return L, [-x for x in c[1:]] + [0] * (L + 1 - len(c))
+
+
+# seqbench/tracing.py wraps this old name, and with it every call of the same
+# object, until ROADMAP item 1 moves the benchmark onto a library recorder.
+_solve_exact = _berlekamp_massey
 
 
 def detect_min_recurrence(values: list, max_order: int) -> Recurrence | None:
     """Least-order exact linear recurrence fitting `values` everywhere.
 
-    Tries orders 1..max_order, solving for rational coefficients by
-    elimination and accepting only a rule that holds at every applicable
-    position.  No tolerances: equality is exact.  Returns None when no
-    order <= max_order fits.
+    Berlekamp-Massey gives the least order L (1 with coefficient 0 for an
+    all-zero list); None when L > max_order.  The rule is checked exactly
+    at every applicable position, and integral coefficients are ints.
+    With the 2*max_order + 1 >= 2L + 1 values required, the least rule is
+    unique (Massey 1969), so elimination order by order finds the same one.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -115,20 +111,16 @@ def detect_min_recurrence(values: list, max_order: int) -> Recurrence | None:
             f"insufficient data: need at least {2 * max_order + 1} values "
             f"for max_order {max_order}, got {len(values)}"
         )
-    for r in range(1, max_order + 1):
-        rows = [[values[i - j] for j in range(1, r + 1)] for i in range(r, len(values))]
-        rhs = [values[i] for i in range(r, len(values))]
-        sol = _solve_exact(rows, rhs)
-        if sol is None:
-            continue
-        coeffs = tuple(c.numerator if c.denominator == 1 else c for c in sol)
-        fits = all(
-            values[i] == sum(c * values[i - j] for j, c in enumerate(coeffs, start=1))
-            for i in range(r, len(values))
-        )
-        if fits:
-            return Recurrence(r, coeffs)
-    return None
+    r, sol = _berlekamp_massey(values)
+    if r > max_order:
+        return None
+    if r == 0:
+        r, sol = 1, [0]
+    coeffs = tuple(c.numerator if c.denominator == 1 else c for c in sol)
+    if not all(values[i] == sum(c * values[i - j] for j, c in enumerate(coeffs, start=1))
+               for i in range(r, len(values))):
+        raise ArithmeticError(f"Berlekamp-Massey rule {coeffs} does not fit the values")
+    return Recurrence(r, coeffs)
 
 
 def _identity_rows(spec: SequenceSpec, lo: int, hi: int, weights, residual):
@@ -215,12 +207,12 @@ def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
         return undetermined
     weight_seeds = tuple(probe.weights[: wrec.order])
 
-    # Residual coefficients, aligned by offset from n over a window of
-    # consecutive target indices starting at the smallest valid n.
-    window = [sum_expansions(spec, m) for m in range(2, 2 + need)]
+    # Residual coefficients by offset from n, for n = 2..need+1 (the
+    # smallest valid n up), from one running pass over the expansions.
+    window = [[totals.get(m + offset, 0) for offset in range(spec.order - 1)]
+              for m, totals in zip(range(2, 2 + need), expansion_totals(spec))]
     rules = []
-    for offset in range(spec.order - 1):
-        rho = [w.residual.get(w.n + offset, 0) for w in window]
+    for offset, rho in enumerate(zip(*window)):
         rrec = detect_min_recurrence(rho, max_order)
         if rrec is None:
             return undetermined
@@ -228,9 +220,7 @@ def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
             constant = eval_range(spec, -offset, -offset)[0]
         except ValueError:
             return undetermined  # residual constant not computable
-        rules.append(
-            ResidualRule(offset, rrec, tuple(rho[: rrec.order]), 2, constant)
-        )
+        rules.append(ResidualRule(offset, rrec, rho[:rrec.order], 2, constant))
 
     candidate = undetermined._replace(
         weight_recurrence=wrec,

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+
 import seqident
 from seqident import cli
 from seqident.cli import main
@@ -466,6 +468,20 @@ def test_eval_at_the_maximum_index_runs_in_bounded_memory():
             env=child_env(), preexec_fn=_limit_address_space, capture_output=True, text=True,
             timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_conjecture_at_the_largest_order_runs_in_bounded_memory():
+    # Fitting each residual over 2K+1 stored collections, each solved by
+    # elimination order by order, ends here in MemoryError.
+    pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqident.cli", "conjecture", "--spec", "builtin:trib",
+         f"--probe-n={cli.MAX_INDEX}", "--verify-to=20",
+         f"--max-order={(cli.MAX_INDEX - 2) // 2}"],
+        env=child_env(), preexec_fn=lambda: _limit_address_space(512), capture_output=True,
+        text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "status: verified" in proc.stdout
 
 
 def test_eval_output_over_the_budget_exits_two(tmp_path, capsys, monkeypatch):

@@ -96,6 +96,38 @@ def test_detect_constant_sequence():
     assert detect_min_recurrence([7] * 10, 4) == Recurrence(1, (1,))
 
 
+def test_detect_all_zero_list():
+    rec = detect_min_recurrence([0] * 9, 4)
+    assert rec == Recurrence(1, (0,)) and type(rec.coeffs[0]) is int
+
+
+def test_detect_leading_zeros_raise_the_order():
+    # j zeros then a first nonzero value: no rule of order <= j makes it
+    for j in range(8):
+        values = [0] * j + [2 ** i for i in range(12 - j)]
+        expected = Recurrence(j + 1, (2,) + (0,) * j) if j + 1 <= 5 else None
+        assert detect_min_recurrence(values, 5) == expected, j
+
+
+def test_detect_halving_integers_keep_a_fraction_coefficient():
+    rec = detect_min_recurrence([2 ** (20 - k) for k in range(20)], 8)
+    assert rec == Recurrence(1, (Fraction(1, 2),)) and type(rec.coeffs[0]) is Fraction
+
+
+def test_detect_order_exactly_max_order_from_the_fewest_values():
+    values = iter_values((1, 1, 1), (0, 0, 1), 7)
+    assert detect_min_recurrence(values, 3) == Recurrence(3, (1, 1, 1))
+    assert detect_min_recurrence(values, 2) is None
+
+
+def test_detect_never_returns_a_rule_that_does_not_fit(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("seqident.conjecture"), "_berlekamp_massey",
+                        lambda values: (1, [Fraction(2)]))
+    with pytest.raises(ArithmeticError):
+        detect_min_recurrence([1, 2, 4, 8, 17], 2)
+    assert detect_min_recurrence([1, 2, 4, 8, 16], 2) == Recurrence(1, (2,))
+
+
 def test_collect_general_matches_sum_expansions():
     for n in range(2, 25):
         assert collect_general(GENERAL, n) == sum_expansions(GENERAL, n)

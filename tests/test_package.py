@@ -1,6 +1,7 @@
 """Tests for the package's public names, which load on first use."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -52,3 +53,18 @@ def test_a_bare_import_loads_no_submodule():
     out = in_child("import sys, seqident; "
                    "print(sorted(m for m in sys.modules if m.startswith('seqident.')))")
     assert out == "[]\n"
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # seqbench/tracing.py rebinds these by name until ROADMAP item 1 moves
+    # the benchmark onto a library recorder; a missing one breaks its
+    # traced run.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "seqbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("seqbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.WRAPPED.items():
+        module = (importlib.import_module("seqident._backend").kernels if layer == "_kernels_py"
+                  else importlib.import_module(f"seqident.{layer}"))
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

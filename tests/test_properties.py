@@ -2,6 +2,8 @@
 scan, the conjecture pipeline and collection, each against plain loops
 written here.
 
+Recurrence detection is checked against exact elimination order by order.
+
 Specs have order 1-4, coefficients in -3..3, a unit trailing coefficient
 (so every spec runs backward in integers), seeds in -3..3 and seed starts
 in -3..3; the evaluation properties also take order 5, trailing
@@ -25,6 +27,7 @@ from seqident.conjecture import (
     ResidualRule,
     collect_general,
     conjecture,
+    detect_min_recurrence,
     verify_conjecture,
 )
 from seqident.dsl import format_spec, parse
@@ -115,6 +118,65 @@ def plain_first_failure(conj, lo, hi):
     return None
 
 
+def eliminate(values, max_order):
+    """The least r <= max_order whose (N-r) x r system values[i] =
+    sum_j c_j*values[i-j], i >= r, is consistent, solved by exact Gauss-Jordan
+    elimination with free variables 0; integral coefficients become ints."""
+    for r in range(1, max_order + 1):
+        rows = [[Fraction(values[i - j]) for j in range(1, r + 1)] + [Fraction(values[i])]
+                for i in range(r, len(values))]
+        pivots = []
+        for col in range(r):
+            top = len(pivots)
+            p = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+            if p is None:
+                continue
+            rows[top], rows[p] = rows[p], rows[top]
+            rows[top] = [x / rows[top][col] for x in rows[top]]
+            for i, row in enumerate(rows):
+                if i != top and row[col]:
+                    rows[i] = [a - row[col] * b for a, b in zip(row, rows[top])]
+            pivots.append(col)
+        if any(row[r] for row in rows[len(pivots):]):
+            continue
+        sol = [Fraction(0)] * r
+        for i, col in enumerate(pivots):
+            sol[col] = rows[i][r]
+        return Recurrence(r, tuple(c.numerator if c.denominator == 1 else c for c in sol))
+    return None
+
+
+@st.composite
+def detection_inputs(draw):
+    """(values, K) with 2K+1 <= len(values) <= 2K+9."""
+    k = draw(st.integers(1, 5))
+    n = 2 * k + 1 + draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("ints", "fractions", "leading zeros", "zeros", "values",
+                                 "weights")))
+    if kind == "ints":
+        vals = draw(st.lists(small, min_size=n, max_size=n))
+    elif kind == "fractions":
+        vals = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+    elif kind == "leading zeros":
+        j = draw(st.integers(0, n))
+        vals = [0] * j + draw(st.lists(small, min_size=n - j, max_size=n - j))
+    elif kind == "zeros":
+        vals = [0] * n
+    elif kind == "values":
+        spec = draw(any_specs())
+        lo = draw(st.integers(spec.seed_start - 5, spec.seed_start + 20))
+        u = values(spec, lo, lo + n - 1)
+        if u is None:  # a non-unit step below the seeds in integer mode
+            lo = spec.seed_start
+            u = values(spec, lo, lo + n - 1)
+        vals = [u[i] for i in range(lo, lo + n)]
+        if draw(st.booleans()):  # backward, a trailing cd gives coefficients 1/cd
+            vals.reverse()
+    else:
+        vals = list(sum_expansions(draw(any_specs()), n + 1).weights)
+    return vals, k
+
+
 def as_tuple(failure):
     return None if failure is None else (failure.n, failure.lhs, failure.rhs)
 
@@ -156,6 +218,16 @@ def test_format_then_parse_round_trips(spec):
     # The text format has no rational marker: parsed specs are integer-mode.
     assert parse(format_spec(spec)) == SequenceSpec(spec.name, spec.coeffs, spec.seeds,
                                                     spec.seed_start)
+
+
+@SETTINGS
+@given(detection_inputs())
+def test_detect_min_recurrence_matches_elimination_order_by_order(case):
+    vals, k = case
+    got, expected = detect_min_recurrence(vals, k), eliminate(vals, k)
+    assert got == expected
+    if expected is not None:
+        assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
 
 
 @SETTINGS
