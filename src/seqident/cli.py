@@ -6,12 +6,8 @@ Lucas-weighted identity over a range, optionally also the inductive
 decomposition), conjecture (detect and brute-force-verify the weight
 identity of an arbitrary spec).
 
-Global flags: --format plain|json|csv, --jobs K (verify --inductive only:
-the replay's rows are split into contiguous chunks of about equal estimated
-work, checked in parallel; the identity scan is one Kronecker product, which
-row chunks would only repeat, so it runs in one process whatever K is; K
-must be at least 1, no more than os.cpu_count() workers are started
-whatever K is, and output bytes never change), --quiet.
+Global flags: --format plain|json|csv, --jobs K (at least 1; it starts
+nothing: every command runs in one process whatever K is), --quiet.
 Structured formats render big integers as decimal strings, never floats,
 and contain no timestamps, so identical inputs produce identical bytes.
 
@@ -25,41 +21,28 @@ Each subcommand loads only the modules it runs: every one loads
 sequences; expand and collect add expansion; verify adds verify with the
 scan kernel (_kernels_py, which loads fractions and decimal), and
 conjecture adds those and expansion and conjecture.  A --spec file adds
-dsl, json and csv load only for their --format, and the process pool only
-when verify --inductive runs chunks in parallel.  No command loads
-dataclasses, and eval, expand and collect never load fractions: the specs
-the CLI reads are integer-mode.
+dsl, and json and csv load only for their --format.  No command loads
+concurrent.futures or dataclasses, and eval, expand and collect never
+load fractions: the specs the CLI reads are integer-mode.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
-index is printed), 2 usage or parse errors.
+index is printed), 2 usage or parse errors, or stdout was closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 
 # Every command evaluates sequences.  Each other module is imported by the
-# function that runs it (dsl, expansion, verify, conjecture, json, csv and
-# the process pool), so a process loads only what its subcommand runs;
-# without a bytecode cache, every module loaded is compiled on every start.
+# function that runs it (dsl, expansion, verify, conjecture, json and csv),
+# so a process loads only what its subcommand runs; without a bytecode
+# cache, every module loaded is compiled on every start.
 from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
-
-# Row m of the inductive replay is three dot products of about m terms of
-# about 0.7*m bits.  The slower of the two chunks of 3..hi at --jobs 2, in
-# process (median of 9; 2 cores, Python 3.11), with rows weighted n / n**2 /
-# n**3, and all of 3..hi serially:
-#   hi =  300: 0.012 / 0.015 / 0.016 s  (0.023 s)
-#   hi =  400: 0.022 / 0.026 / 0.029 s  (0.035 s)
-#   hi =  700: 0.087 / 0.090 / 0.101 s  (0.141 s)
-#   hi = 1000: 0.212 / 0.199 / 0.244 s  (0.394 s)
-# n**2 is within 0.004 s of the fastest at every hi.
-_ROW_COST_EXPONENT = 2
 
 # The largest index for verify's --range, collect's --n, expand's --depth
 # and conjecture's --probe-n and --verify-to.  The F and L tables up to H
@@ -190,46 +173,9 @@ def _emit(args, plain_lines, record, csv_header: list[str], csv_rows) -> None:
         writer.writerows(csv_rows())
 
 
-def _worker_count(jobs: int) -> int:
-    """Workers to run for --jobs: a pool starts every worker at once, so
-    never more than there are CPUs."""
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """Split lo..hi (lo >= 1) into at most `jobs` contiguous, non-empty
-    chunks of about equal estimated work.
-
-    Row n owns the interval [n - 1/2, n + 1/2] and is weighted n**a there
-    (a = _ROW_COST_EXPONENT), so the work below x grows as x**(a+1).  The
-    i-th cut is the closed-form point where that reaches i/jobs of the
-    total, and each row goes to the side of the cut its centre is on.
-    """
-    e = _ROW_COST_EXPONENT + 1
-    w_lo, w_hi = (lo - 0.5) ** e, (hi + 0.5) ** e
-    cuts = {math.ceil((w_lo + i / jobs * (w_hi - w_lo)) ** (1 / e)) - 1
-            for i in range(1, jobs)}
-    ends = sorted(c for c in cuts if lo <= c < hi) + [hi]
-    return [(a, b) for a, b in zip([lo] + [c + 1 for c in ends], ends)]
-
-
+# `jobs` is unused; the benchmark's tracer wraps this name, which goes with ROADMAP item 1.
 def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
-    """Apply worker to each chunk, in parallel when possible; results are
-    concatenated in chunk order, so the merge is deterministic.  If the
-    pool cannot start or a worker dies, every chunk runs here instead."""
-    if jobs > 1 and len(bounds) > 1:
-        # Imported here: loading the pool machinery costs every other
-        # command start-up time for nothing.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(worker, bounds))
-        except (OSError, BrokenProcessPool):
-            parts = [worker(b) for b in bounds]
-    else:
-        parts = [worker(b) for b in bounds]
-    return [row for part in parts for row in part]
+    return [row for b in bounds for row in worker(b)]
 
 
 def _identity_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
@@ -356,15 +302,14 @@ def cmd_verify(args) -> int:
     if lo < 2:
         raise CliError(f"verify range must start at 2 or above, got {lo}")
     _check_index("verify range end", hi)
-    jobs = _worker_count(args.jobs)
-    # One chunk: the scan is one product for the whole range, and a chunk of
-    # the top rows costs about as much as all of it.
-    rows = _map_chunks(_identity_chunk, [(lo, hi)], jobs)
+    # One chunk each, in this process: no benchmark workload gains from a
+    # second process (README, --jobs).
+    rows = _map_chunks(_identity_chunk, [(lo, hi)], args.jobs)
     checks = [("identity", n, lhs, rhs, ok) for n, lhs, rhs, ok in rows]
     if args.inductive:
         m_lo = max(3, lo)
         if m_lo <= hi:
-            ind = _map_chunks(_inductive_chunk, _chunks(m_lo, hi, jobs), jobs)
+            ind = _map_chunks(_inductive_chunk, [(m_lo, hi)], args.jobs)
             checks += [("inductive", m, lhs, rhs, ok) for m, lhs, rhs, ok in ind]
 
     failed = [c for c in checks if not c[4]]
@@ -475,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["plain", "json", "csv"],
                         default="plain", help="output format (default plain)")
     common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="parallel workers for range verification")
+                        help="at least 1; starts nothing: every command runs in one process")
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout; exit code only")
 
@@ -538,7 +483,18 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
+        status = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        import os  # loaded by every interpreter at start-up
+
+        # The interpreter flushes stdout again at exit: point fd 1 at devnull
+        # so that flush cannot raise too (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("seqident: error: stdout was closed before all output was written",
+              file=sys.stderr)
+        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

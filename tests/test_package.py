@@ -1,7 +1,9 @@
 """Tests for the package's public names, which load on first use."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -55,16 +57,43 @@ def test_a_bare_import_loads_no_submodule():
     assert out == "[]\n"
 
 
-def test_every_function_the_benchmark_tracer_wraps_exists():
-    # seqbench/tracing.py rebinds these by name until ROADMAP item 1 moves
-    # the benchmark onto a library recorder; a missing one breaks its
-    # traced run.
+def load_tracing():
+    """seqbench/tracing.py, loaded by path and only read."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "seqbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("seqbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # seqbench/tracing.py rebinds these by name until ROADMAP item 1 moves
+    # the benchmark onto a library recorder; a missing one breaks its
+    # traced run.
+    tracing = load_tracing()
     for layer, names in tracing.WRAPPED.items():
         module = (importlib.import_module("seqident._backend").kernels if layer == "_kernels_py"
                   else importlib.import_module(f"seqident.{layer}"))
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_the_benchmark_tracer_runs_an_inductive_verify():
+    # The name guard above does not see a change to the arguments the tracer
+    # unpacks from _map_chunks; a traced run does.
+    from seqident import cli
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    original = cli._identity_chunk
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--range=2..40", "--inductive", "--jobs", "2"])
+        tracer.replay_chunks()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert cli._identity_chunk is original
+    # One chunk for the identity scan and one for the replay.
+    assert tracing.layer_metrics(tracer.spans, {})["cli.chunks"] == 2
