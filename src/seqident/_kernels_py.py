@@ -27,10 +27,10 @@ takes the same product and keeps its top rows, which costs about as much as
 coefficient (a band a few rows wide, such as one row, or a small scan) the
 rows are summed directly instead (_rows).  No packed operand is longer than
 twice the digits of the entries it packs, so the transient memory stays a
-fixed multiple of the input tables.  A block over that cap, which only
-uneven inputs give (a few entries far longer than the rest, or Fractions
-with a large common denominator), is halved along its longer side
-(_scan_block) until its halves fit or fall to direct sums.
+fixed multiple of the input tables.  A scan over that cap is summed row by
+row as well.  Uneven inputs give it: a few entries far longer than the rest,
+Fractions with a large common denominator, or entries of a digit or two,
+whose slots must still hold sums of hundreds of pairs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ import decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import add, mul
+from operator import mul
 
 from .sequences import fib_pair, fill_forward  # noqa: F401  (the tracer's names)
 
-# A block is one product when it has at least this many pairs in the band
+# A scan is one product when it has at least this many pairs in the band
 # per coefficient packed; a product's cost grows with its packed length, the
 # direct sums' with their pairs.  Timed on CPython 3.11 (2 cores), a product
 # pays from 40 to 48 pairs a coefficient for bands at the top of 2..N
@@ -72,13 +72,21 @@ def convolution_values(weights: list, values: list, lo: int, hi: int) -> list:
     all-Fraction inputs, of its types.
 
     One Kronecker product of weights[1:hi] and values[1:hi] gives every
-    sum, as the module docstring describes; a band too narrow for that to
-    pay, such as one row, is summed directly row by row.  The caller's
-    decimal context and int/str digit limit are neither used nor changed.
+    sum, as the module docstring describes.  A band too narrow for that to
+    pay, such as one row, or a scan whose packed operand would pass the
+    product's cap, is summed directly row by row.  The caller's decimal
+    context and int/str digit limit are neither used nor changed.
     """
-    out = [0] * (hi - lo + 1)
-    _scan_block(weights, values, lo, hi, 1, hi, 1, hi, out)
-    return out
+    first = max(lo, 2)  # rows below 2 have no pairs
+    if first > hi:
+        return [0] * (hi - lo + 1)
+    a, b = weights[1:hi], values[1:hi]
+    c = None
+    if (first + hi - 2) * (hi - first + 1) // 2 >= _SPLIT_COST * (len(a) + len(b)):
+        c = _product(a, b, first - 2, hi - 2)
+    if c is None:
+        c = _rows(a, b, first - 2, hi - 2)
+    return [0] * (first - lo) + c
 
 
 def _digits(xs: list) -> int:
@@ -88,44 +96,6 @@ def _digits(xs: list) -> int:
     if not all(isinstance(x, int) for x in xs):
         xs = [n for x in xs for n in (x.numerator, x.denominator)]
     return sum((n.bit_length() - 1) * 30102 // 100000 + 1 for n in xs)
-
-
-def _pays(pairs: int, size: int) -> bool:
-    """True when one product of `size` packed coefficients pays for `pairs`
-    pairs, against summing them directly."""
-    return pairs >= _SPLIT_COST * size
-
-
-def _pairs(t: int, p: int, q: int) -> int:
-    """The number of (a, b) with 0 <= a < p, 0 <= b < q and a + b <= t."""
-    return sum(s * x * (x + 1) // 2
-               for x, s in ((t + 1, 1), (t + 1 - p, -1), (t + 1 - q, -1), (t + 1 - p - q, 1))
-               if x > 0)
-
-
-def _scan_block(w, v, lo, hi, k0, k1, j0, j1, out) -> None:
-    """Add w[k]*v[j] into out[k+j-lo] for k0 <= k < k1, j0 <= j < j1 and
-    lo <= k+j <= hi."""
-    first, last = max(k0 + j0, lo), min(k1 + j1 - 2, hi)
-    if first > last:
-        return
-    p, q = k1 - k0, j1 - j0
-    t0, t1 = first - k0 - j0, last - k0 - j0
-    # Rows up to t1 use only the first t1+1 entries of each side.
-    a, b = w[k0:k0 + min(p, t1 + 1)], v[j0:j0 + min(q, t1 + 1)]
-    if not _pays(_pairs(t1, p, q) - _pairs(t0 - 1, p, q), len(a) + len(b)):
-        c = _rows(a, b, t0, t1)
-    elif (c := _product(a, b, t0, t1)) is None:
-        if p >= q:
-            h = k0 + p // 2
-            _scan_block(w, v, lo, hi, k0, h, j0, j1, out)
-            _scan_block(w, v, lo, hi, h, k1, j0, j1, out)
-        else:
-            h = j0 + q // 2
-            _scan_block(w, v, lo, hi, k0, k1, j0, h, out)
-            _scan_block(w, v, lo, hi, k0, k1, h, j1, out)
-        return
-    out[first - lo:last - lo + 1] = map(add, out[first - lo:last - lo + 1], c)
 
 
 def _product(a: list, b: list, t0: int, t1: int) -> list | None:

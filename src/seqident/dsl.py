@@ -176,7 +176,6 @@ class _Parser:
         if lag_coeffs[order] == 0:
             self.fail(f"coefficient of the largest lag {order} is zero",
                       lag_toks[order])
-        coeffs = tuple(lag_coeffs.get(i, 0) for i in range(1, order + 1))
 
         seeds: dict[int, int] = {}
         seed_toks: dict[int, _Token] = {}
@@ -208,7 +207,7 @@ class _Parser:
                           seed_toks[b])
         return SequenceSpec(
             name,
-            coeffs,
+            tuple(lag_coeffs.get(i, 0) for i in range(1, order + 1)),
             tuple(seeds[i] for i in indices),
             seed_start=indices[0],
         )

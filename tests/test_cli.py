@@ -339,6 +339,21 @@ def test_malformed_spec_file_exits_two_with_position(tmp_path, capsys):
     assert "1:24" in err and "duplicate lag" in err
 
 
+def test_spec_with_a_huge_lag_exits_two_in_bounded_memory(tmp_path):
+    # Building the lag's 10**9 coefficients before counting the seeds ends
+    # here in MemoryError, a traceback and exit 1.
+    pytest.importorskip("resource")
+    path = tmp_path / "huge.seq"
+    path.write_text("seq A: A(n)=A(n-1000000000); A(0)=1\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqident.cli", "eval", "--spec", str(path), "--n=3"],
+        env=child_env(), preexec_fn=_limit_address_space, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"seqident: error: {path}:1:35: expected 1000000000 seeds "
+                           "for an order-1000000000 recurrence, got 1\n")
+
+
 def test_missing_spec_file_exits_two(capsys):
     code, _, err = run(capsys, "eval", "--spec", "/nonexistent.seq", "--n", "3")
     assert code == 2

@@ -110,6 +110,8 @@ BAD_CASES = [
     ("seq F: F(n)=F(n-1)+F(n-2); F(1)=1", 1, 33, "expected 2 seeds"),
     ("seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(2)=1; F(3)=2", 1, 49, "expected 2 seeds"),
     ("seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(3)=2", 1, 38, "consecutive"),
+    # A huge lag is rejected by the seed count before any coefficient tuple.
+    ("seq A: A(n)=A(n-1000000000); A(0)=1", 1, 35, "expected 1000000000 seeds"),
     ("seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(1)=2", 1, 38, "duplicate seed"),
     ("seq F: F(n)=G(n-1)+F(n-2); F(1)=1; F(2)=1", 1, 13, "expected sequence name 'F'"),
     ("seq F: F(x)=F(n-1)+F(n-2); F(1)=1; F(2)=1", 1, 10, "'n'"),

@@ -84,7 +84,7 @@ def scans(draw):
     return weights, values, lo, hi, kind != "mixed"
 
 
-# 1 sends every block with at least as many band pairs as packed coefficients
+# 1 sends every scan with at least as many band pairs as packed coefficients
 # (a band of three rows or more) to the Kronecker product, so products run at
 # these small sizes; the real cost sends most of them to the direct row sums.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -127,19 +127,15 @@ def test_convolution_values_is_subquadratic():
         def __rsub__(self, other):
             return Counted(int(other) - int(self))
 
-    # Operands of 2049 bits make every square of side 4 or more worth a
-    # Karatsuba split (4 * 2049 >= 8192) and every block straddling the band
-    # edge worth halving from side 32 up.  The pairs of 2..512 form a
-    # triangle of side 512: T(512) = K(256) + 2*T(256), down to 16*16/2
-    # direct pairs in T(16), with K(s) = 3*K(s/2) and K(2) = 4 for the
-    # wholly-inside squares.  That is about 26,900 products; the quadratic
-    # scan multiplies all 130,816 pairs.
+    # 2..512 over entries of 2049 bits has 130,816 pairs, far more than
+    # _SPLIT_COST per packed coefficient, so the scan is the one Kronecker
+    # product and multiplies no pair of entries; the quadratic scan
+    # multiplies all of them.
     big = 2 ** 2048
     weights = [Counted(big + 3 * i) for i in range(513)]
     values = [Counted(big - 5 * i) for i in range(513)]
     got = convolution_values(weights, values, 2, 512)
-    direct = sum(n - 1 for n in range(2, 513))
-    assert muls < direct // 4, (muls, direct)
+    assert muls == 0
     assert got[-13:] == naive_convolution(weights, values, 500, 512)
 
 
@@ -219,20 +215,28 @@ def test_convolution_values_packs_no_operand_over_twice_its_input(monkeypatch):
         return sum(len(str(abs(x))) for x in xs)
 
     # Lucas by Fibonacci and a fast-growing signed pair pack into one product
-    # each.  In the uneven scan one weight of 3001 digits outweighs all the
-    # other entries (1 to 3 digits) together, and any block holding it packs
-    # 3004 digits a slot; with every block worth a product (_SPLIT_COST 1),
-    # only the cap keeps such blocks to two slots.
+    # each, under the cap.  In the uneven scan one weight of 3001 digits
+    # outweighs all the other entries (1 to 3 digits) together, so every slot
+    # would take 3004 digits: even with every scan worth a product
+    # (_SPLIT_COST 1), the cap sends it to the row sums.  The cap does the
+    # same to entries in -2..2, as the bounded-value specs of conjecture give:
+    # their one digit each is less than half a slot wide enough for a sum of
+    # 600 pairs.
     uneven = ([0, 10 ** 3000] + list(range(2, 301)), list(range(301)))
-    cases = [(*lucas_fibonacci(2400), 2400, kernels._SPLIT_COST),
-             (*power_sums_and_terms(600), 600, kernels._SPLIT_COST),
-             (*uneven, 300, 1)]
-    for weights, values, hi, split_cost in cases:
+    rng = random.Random(5)
+    bounded = ([rng.randint(-2, 2) for _ in range(601)], [rng.randint(-2, 2) for _ in range(601)])
+    cases = [(*lucas_fibonacci(2400), 2400, kernels._SPLIT_COST, 1),
+             (*power_sums_and_terms(600), 600, kernels._SPLIT_COST, 1),
+             (*uneven, 300, 1, 0),
+             (*bounded, 600, kernels._SPLIT_COST, 0)]
+    for weights, values, hi, split_cost, products in cases:
         recorder = RecordingContext(kernels._CONTEXT)
         monkeypatch.setattr(kernels, "_CONTEXT", recorder)
         monkeypatch.setattr(kernels, "_SPLIT_COST", split_cost)
         got = convolution_values(weights, values, 2, hi)
         monkeypatch.undo()
         cap = 2 * (digits(weights[1:hi]) + digits(values[1:hi]))
-        assert recorder.operands and max(recorder.operands) <= cap, (hi, max(recorder.operands), cap)
-        assert got[-5:] == naive_convolution(weights, values, hi - 4, hi)
+        assert len(recorder.operands) == 2 * products, (hi, recorder.operands)
+        assert max(recorder.operands, default=0) <= cap, (hi, recorder.operands, cap)
+        lo = hi - 4 if products else 2  # every row of the row sums
+        assert got[lo - 2:] == naive_convolution(weights, values, lo, hi)
