@@ -1,6 +1,12 @@
 """Where the benchmark's tracer (seqbench/tracing.py) finds the kernel
-module, as ``seqident._backend.kernels``; the package itself never imports
-this module.  The kernel module re-exports sequences' fib_pair and
-fill_forward for the same reader; both aliases go with ROADMAP item 1."""
+layer's four functions, as ``seqident._backend.kernels.<name>``.  They are
+defined in sequences and verify, where the tracer rebinds them; the package
+itself never imports this module.  It goes with ROADMAP item 1."""
 
-from . import _kernels_py as kernels  # noqa: F401
+from types import SimpleNamespace
+
+from .sequences import fib_pair, fill_forward
+from .verify import convolution_values, dot_product
+
+kernels = SimpleNamespace(fib_pair=fib_pair, fill_forward=fill_forward,
+                          dot_product=dot_product, convolution_values=convolution_values)

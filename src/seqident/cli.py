@@ -12,18 +12,19 @@ Structured formats render big integers as decimal strings, never floats,
 and contain no timestamps, so identical inputs produce identical bytes.
 
 verify's range end, collect's --n, expand's --depth and conjecture's
---probe-n and --verify-to are at most MAX_INDEX; eval's --n is within
--MAX_EVAL_INDEX..MAX_EVAL_INDEX.  eval prints at most MAX_EVAL_BITS bits:
-before evaluating, the width of its range (1 for --n) times a bound on the
-bits of the farther end's value, from the spec alone, is checked against it.
+--probe-n and --verify-to are at most MAX_INDEX; eval's --n and both ends
+of its --range are within -MAX_EVAL_INDEX..MAX_EVAL_INDEX.  eval prints at
+most MAX_EVAL_BITS bits: before evaluating, the width of its range (1 for
+--n) times a bound on the bits of the farther end's value, from the spec
+alone, is checked against it.
 
 Each subcommand loads only the modules it runs: every one loads
-sequences; expand and collect add expansion; verify adds verify with the
-scan kernel (_kernels_py, which loads fractions and decimal), and
-conjecture adds those and expansion and conjecture.  A --spec file adds
-dsl, and json and csv load only for their --format.  No command loads
-concurrent.futures or dataclasses, and eval, expand and collect never
-load fractions: the specs the CLI reads are integer-mode.
+sequences; expand and collect add expansion; verify adds verify, which
+holds the scan and loads fractions and decimal, and conjecture adds
+verify, expansion and conjecture.  A --spec file adds dsl, and json and
+csv load only for their --format.  No command loads concurrent.futures or
+dataclasses, and eval, expand and collect never load fractions: the specs
+the CLI reads are integer-mode.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors, or stdout was closed.
@@ -55,11 +56,11 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 # 28 MB at the default --max-order, 1.4 s and 40 MB at its largest, 4999.
 MAX_INDEX = 10_000
 
-# The largest |n| for eval's --n.  eval jumps to n in O(log n) products and
-# keeps only the values it prints: `eval --spec builtin:fib --n=1000000`
-# peaks at 17 MB RSS (a bare interpreter: 14 MB) and takes about 0.25 s
-# with --quiet, 0.95 s in plain, where turning the 208,988-digit value into
-# text takes 0.75 s (2 cores, Python 3.11).
+# The largest |n| for eval's --n and either end of its --range.  eval jumps
+# to n in O(log n) products and keeps only the values it prints: `eval
+# --spec builtin:fib --n=1000000` peaks at 17 MB RSS (a bare interpreter:
+# 14 MB) and takes about 0.25 s with --quiet, 0.95 s in plain, where turning
+# the 208,988-digit value into text takes 0.75 s (2 cores, Python 3.11).
 MAX_EVAL_INDEX = 1_000_000
 
 # The most bits eval prints: before evaluating, the width of the range (1
@@ -204,6 +205,9 @@ def cmd_eval(args) -> int:
         lo, hi = _parse_range(args.range)
         what = f"--range {args.range}"
     _check_output_budget(what, spec, lo, hi)
+    if max(abs(lo), abs(hi)) > MAX_EVAL_INDEX:
+        raise CliError(f"eval {what} is outside the supported indices "
+                       f"-{MAX_EVAL_INDEX}..{MAX_EVAL_INDEX}")
     try:
         values = eval_range(spec, lo, hi)
     except ValueError as exc:

@@ -170,9 +170,10 @@ def modules_loaded_by(*argv):
 def test_each_subcommand_loads_only_the_modules_it_runs():
     # cli runs as __main__.  No subcommand loads dataclasses (which brings in
     # inspect, ast, dis and tokenize); on builtin specs eval, expand and
-    # collect load neither the scan kernel nor fractions and decimal.
+    # collect load neither the scan, which lives in verify, nor fractions and
+    # decimal.
     base = {"seqident.sequences"}
-    scan = base | {"seqident._kernels_py", "seqident.verify"}
+    scan = base | {"seqident.verify"}
     exact = {"fractions", "decimal"}
     cases = [
         (("eval", "--spec", "builtin:fib", "--n=18000"), base, set()),
@@ -425,6 +426,13 @@ def test_eval_indices_beyond_the_maximum_exit_two(capsys, monkeypatch):
         assert out == ""
         assert err.startswith(f"seqident: error: eval --n {n} ")
         assert str(cli.MAX_EVAL_INDEX) in err
+    top = cli.MAX_EVAL_INDEX + 1
+    for text in (f"{top}..{top}", f"{-top}..{-top}", f"{top - 2}..{top}"):
+        code, out, err = run(capsys, "eval", "--spec", "builtin:fib", f"--range={text}")
+        assert code == 2
+        assert out == ""
+        assert err == (f"seqident: error: eval --range {text} is outside the supported "
+                       f"indices -{cli.MAX_EVAL_INDEX}..{cli.MAX_EVAL_INDEX}\n")
 
 
 def _limit_address_space(megabytes=256):

@@ -1,4 +1,4 @@
-"""The scan kernels against plain-loop references."""
+"""verify's scan kernel against plain-loop references."""
 
 import decimal
 import random
@@ -8,8 +8,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqident import _kernels_py as kernels
-from seqident._kernels_py import convolution_values, dot_product
+from seqident import verify
+from seqident.verify import convolution_values, dot_product
 
 
 def naive_dot(xs, ys):
@@ -88,15 +88,15 @@ def scans(draw):
 # (a band of three rows or more) to the Kronecker product, so products run at
 # these small sizes; the real cost sends most of them to the direct row sums.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(scans(), st.sampled_from((1, kernels._SPLIT_COST)))
+@given(scans(), st.sampled_from((1, verify._SPLIT_COST)))
 def test_convolution_values_matches_plain_loop_on_any_band(scan, split_cost):
     weights, values, lo, hi, homogeneous = scan
-    saved = kernels._SPLIT_COST
-    kernels._SPLIT_COST = split_cost
+    saved = verify._SPLIT_COST
+    verify._SPLIT_COST = split_cost
     try:
         got = convolution_values(weights, values, lo, hi)
     finally:
-        kernels._SPLIT_COST = saved
+        verify._SPLIT_COST = saved
     want = naive_convolution(weights, values, lo, hi)
     assert got == want
     if homogeneous:
@@ -179,8 +179,8 @@ def test_convolution_values_ignores_the_callers_decimal_context(monkeypatch):
     rng = random.Random(3)
     weights = [rng.randint(-2 ** 2000, 2 ** 2000) for _ in range(301)]
     values = [rng.randint(-2 ** 2000, 2 ** 2000) for _ in range(301)]
-    recorder = RecordingContext(kernels._CONTEXT)
-    monkeypatch.setattr(kernels, "_CONTEXT", recorder)
+    recorder = RecordingContext(verify._CONTEXT)
+    monkeypatch.setattr(verify, "_CONTEXT", recorder)
     with decimal.localcontext() as ctx:
         ctx.prec = 3
         ctx.clear_traps()
@@ -194,9 +194,9 @@ def test_convolution_values_ignores_the_callers_decimal_context(monkeypatch):
 def test_convolution_values_ignores_the_int_str_digit_limit(monkeypatch):
     # Sums of 2**16000-sized pairs fill slots of about 9,640 digits, over the
     # default limit of 4,300 on str(int) and int(str).  Only cli.main lifts it.
-    monkeypatch.setattr(kernels, "_SPLIT_COST", 1)
-    recorder = RecordingContext(kernels._CONTEXT)
-    monkeypatch.setattr(kernels, "_CONTEXT", recorder)
+    monkeypatch.setattr(verify, "_SPLIT_COST", 1)
+    recorder = RecordingContext(verify._CONTEXT)
+    monkeypatch.setattr(verify, "_CONTEXT", recorder)
     rng = random.Random(4)
     weights = [rng.randint(-2 ** 16000, 2 ** 16000) for _ in range(41)]
     values = [rng.randint(2 ** 15999, 2 ** 16000) for _ in range(41)]
@@ -225,14 +225,14 @@ def test_convolution_values_packs_no_operand_over_twice_its_input(monkeypatch):
     uneven = ([0, 10 ** 3000] + list(range(2, 301)), list(range(301)))
     rng = random.Random(5)
     bounded = ([rng.randint(-2, 2) for _ in range(601)], [rng.randint(-2, 2) for _ in range(601)])
-    cases = [(*lucas_fibonacci(2400), 2400, kernels._SPLIT_COST, 1),
-             (*power_sums_and_terms(600), 600, kernels._SPLIT_COST, 1),
+    cases = [(*lucas_fibonacci(2400), 2400, verify._SPLIT_COST, 1),
+             (*power_sums_and_terms(600), 600, verify._SPLIT_COST, 1),
              (*uneven, 300, 1, 0),
-             (*bounded, 600, kernels._SPLIT_COST, 0)]
+             (*bounded, 600, verify._SPLIT_COST, 0)]
     for weights, values, hi, split_cost, products in cases:
-        recorder = RecordingContext(kernels._CONTEXT)
-        monkeypatch.setattr(kernels, "_CONTEXT", recorder)
-        monkeypatch.setattr(kernels, "_SPLIT_COST", split_cost)
+        recorder = RecordingContext(verify._CONTEXT)
+        monkeypatch.setattr(verify, "_CONTEXT", recorder)
+        monkeypatch.setattr(verify, "_SPLIT_COST", split_cost)
         got = convolution_values(weights, values, 2, hi)
         monkeypatch.undo()
         cap = 2 * (digits(weights[1:hi]) + digits(values[1:hi]))

@@ -71,9 +71,12 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
     # the benchmark onto a library recorder; a missing one breaks its
     # traced run.
     tracing = load_tracing()
+    kernels = importlib.import_module("seqident._backend").kernels
     for layer, names in tracing.WRAPPED.items():
-        module = (importlib.import_module("seqident._backend").kernels if layer == "_kernels_py"
-                  else importlib.import_module(f"seqident.{layer}"))
+        # The kernel layer is no module of the package; the tracer reads its
+        # functions from seqident._backend.kernels.
+        spec = importlib.util.find_spec(f"seqident.{layer}")
+        module = importlib.import_module(spec.name) if spec else kernels
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
@@ -95,5 +98,11 @@ def test_the_benchmark_tracer_runs_an_inductive_verify():
         tracer.uninstall()
     assert code == 0
     assert cli._identity_chunk is original
+    metrics = tracing.layer_metrics(tracer.spans, {})
     # One chunk for the identity scan and one for the replay.
-    assert tracing.layer_metrics(tracer.spans, {})["cli.chunks"] == 2
+    assert metrics["cli.chunks"] == 2
+    # The kernel layer is timed only if _backend.kernels holds the functions
+    # verify calls; the replay makes three convolution_sum calls per m.
+    assert metrics["kernels_py.convolution_values_s"] > 0
+    assert metrics["kernels_py.dot_product_s"] > 0
+    assert metrics["verify.convolution_sum_calls"] == 3 * 38
