@@ -3,7 +3,7 @@
 Subcommands: eval (sequence values), expand (the depth-r linear form),
 collect (summed-expansion weights plus residual), verify (the
 Lucas-weighted identity over a range, optionally also the inductive
-decomposition), conjecture (detect and brute-force-verify the weight
+decomposition), conjecture (derive and brute-force-verify the weight
 identity of an arbitrary spec).
 
 Global flags: --format plain|json|csv, --jobs K (at least 1; it starts
@@ -21,7 +21,7 @@ alone, is checked against it.
 Each subcommand loads only the modules it runs: every one loads
 sequences; expand and collect add expansion; verify adds verify, which
 holds the scan and loads fractions and decimal, and conjecture adds
-verify, expansion and conjecture.  A --spec file adds dsl, and json and
+verify and conjecture, not expansion.  A --spec file adds dsl, and json and
 csv load only for their --format.  No command loads concurrent.futures or
 dataclasses, and eval, expand and collect never load fractions: the specs
 the CLI reads are integer-mode.
@@ -52,8 +52,8 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 # those takes a transient of about 15 times the tables: `verify --range
 # 2..10000 --format json` peaks at 167 MB RSS, in 7 s, and the peak is the
 # scan's (--quiet peaks the same).  At 10,000 (trib; 2 cores, Python 3.11),
-# `collect --n` takes 0.8 s and 55 MB, and `conjecture --probe-n` 0.7 s and
-# 28 MB at the default --max-order, 1.4 s and 40 MB at its largest, 4999.
+# `collect --n` takes 0.8 s and 55 MB, and `conjecture --probe-n` 0.3 s and
+# 21 MB at the default --max-order, 0.8 s and 33 MB at its largest, 4999.
 MAX_INDEX = 10_000
 
 # The largest |n| for eval's --n and either end of its --range.  eval jumps
@@ -467,10 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("conjecture", parents=[common],
-                       help="detect and verify the weight identity for a spec")
+                       help="derive and verify the weight identity for a spec")
     add_spec(p)
     p.add_argument("--probe-n", type=int, required=True,
-                   help="index whose collected weights seed detection")
+                   help="detection reads the weights a(1)..a(PROBE_N-1)")
     p.add_argument("--verify-to", type=int, required=True,
                    help="brute-force check the identity for 2 <= n <= this")
     p.add_argument("--max-order", type=int, default=8,

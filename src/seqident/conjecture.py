@@ -1,17 +1,22 @@
-"""Discovery and brute-force verification of generalized weight identities.
+"""Derivation and brute-force verification of generalized weight identities.
 
-Runs the expand-collect-sum procedure on arbitrary integer recurrences
-(different seeds, order 3 and up), detects by Berlekamp-Massey the minimal
-linear recurrence satisfied by the collected weights and by the residual
-coefficients (read from one running pass), and verifies the identity
+For U(n) = c1*U(n-1) + ... + cd*U(n-d) and Q(x) = 1 - c1*x - ... - cd*x**d,
 
-    (n-1)*U(n) = sum_{k=1}^{n-1} a(k)*U(n-k) + residual terms
+    (n-1)*U(n) = sum_{k=1}^{n-1} a(k)*U(n-k) + sum_{j=0}^{d-2} rho_j(n)*U(-j)
 
-over a finite range against an oracle that never touches the expansion
-engine.  That check, and collect_general's cross-check of one collected
-identity, run on verify.identity_rows, the one identity-scan engine.
-Conjectures are only ever reported together with their verification
-status and, when refuted, the least failing index.
+for n >= 2, with a(k) = [x**k] (sum_m m*cm*x**m)/Q, the power sums of the
+characteristic roots (Newton's identities), and rho_j(n) =
+[x**n] (sum_{i=1}^{d-j-1} i*c(i+j+1)*x**(i+1))/Q.  For Fibonacci, a(k) = L(k)
+and rho_0(n) = F(n-1) multiplies F(0) = 0.  Proof (Stanley, Enumerative
+Combinatorics 1, ch. 4): sum_{n>=1} U(n)*x**n = N/Q with N = sum_{n=1}^{d}
+x**n * sum_{i=n}^{d} ci*U(n-i), and the weights' series is -x*Q'/Q, so
+sum_n [(n-1)*U(n) - sum_k a(k)*U(n-k)]*x**n = (x*N' - N)/Q.  There U(-j) has
+the factor sum_{n=1}^{d-j} (n-1)*c(n+j)*x**n, which is 0 for j = d-1.
+
+The brute-force check runs on verify.identity_rows, the one identity-scan
+engine, which never uses the derivation; so does collect_general's check of
+the paper's expand-and-collect method.  An identity is reported only with
+its status and, when refuted, the least failing index.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .expansion import CollectedWeights, expansion_totals, sum_expansions
 from .sequences import SequenceSpec, eval_range, fill_forward
 from .verify import IdentityReport, identity_rows, require_range, scan_report
 
@@ -136,13 +140,15 @@ def _identity_rows(spec: SequenceSpec, lo: int, hi: int, weights, residual):
     return identity_rows(lo, hi, [0, *weights], [0, *vals[1 - base:]], extra)
 
 
-def collect_general(spec: SequenceSpec, n: int) -> CollectedWeights:
+def collect_general(spec: SequenceSpec, n: int):
     """sum_expansions plus a concrete cross-check of the collected identity.
 
     The residual terms are evaluated against backward-extended sequence
     values, so a spec that cannot be extended backward raises
     NonInvertibleStepError here when its residual is nonzero.
     """
+    from .expansion import sum_expansions  # here: conjecture never loads it
+
     w = sum_expansions(spec, n)
     residual = [(k - n, [c]) for k, c in w.residual.items()]
     _, lhs, rhs, ok = next(_identity_rows(spec, n, n, w.weights, residual))
@@ -177,54 +183,57 @@ def verify_conjecture(conj: ConjecturedIdentity, lo: int, hi: int) -> IdentityRe
     return scan_report(lo, hi, _identity_rows(conj.spec, lo, hi, weights, residual), t0)
 
 
+def _series(num, coeffs, count: int) -> list:
+    """Coefficients 0..count-1 of num(x)/Q(x), num[m] being that of x**m."""
+    s = []
+    for n in range(count):
+        s.append((num[n] if n < len(num) else 0) + sum(map(mul, coeffs, reversed(s))))
+    return s
+
+
 def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
                max_order: int = DEFAULT_MAX_ORDER) -> ConjecturedIdentity:
-    """Detect and verify the weight identity for `spec`.
+    """Derive and verify the weight identity for `spec`.
 
-    Collects weights at probe_n, detects their minimal recurrence, fits
-    each residual coefficient sequence (aligned by its offset from n)
-    across a window of consecutive collections, then verifies the whole
-    identity for 2 <= n <= verify_hi by brute force.  Detection failure
+    The weights a(1..probe_n-1) and, for each offset j = 0..d-2, the
+    residual coefficients rho_j(2..2K+2), K = max_order, come from Q(x)
+    (module docstring).  Their least recurrences are detected, the constants
+    U(-j) evaluated, and the whole identity verified for 2 <= n <= verify_hi
+    by brute force.  Detection failure (a least order above max_order)
     yields status "undetermined"; a fabricated identity is never returned.
-    The arguments are checked before any of this work.
+    The arguments are checked before any of this work; a constant U(-j) that
+    cannot be evaluated raises NonInvertibleStepError.
     """
     require_range(2, verify_hi)
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     need = 2 * max_order + 1
-    if 2 <= probe_n <= need:  # below 2, collect_general raises at once
+    if probe_n <= need:
         raise ValueError(
             f"probe_n={probe_n} yields {probe_n - 1} weights; "
             f"need at least {need} for max_order {max_order}"
         )
-    probe = collect_general(spec, probe_n)
-    undetermined = ConjecturedIdentity(
-        spec, None, (), (), 2, verify_hi, UNDETERMINED
-    )
+    c = spec.coeffs
+    undetermined = ConjecturedIdentity(spec, None, (), (), 2, verify_hi, UNDETERMINED)
 
-    wrec = detect_min_recurrence(list(probe.weights), max_order)
+    weights = _series([0, *(m * cm for m, cm in enumerate(c, start=1))], c, probe_n)[1:]
+    wrec = detect_min_recurrence(weights, max_order)
     if wrec is None:
         return undetermined
-    weight_seeds = tuple(probe.weights[: wrec.order])
 
-    # Residual coefficients by offset from n, for n = 2..need+1 (the
-    # smallest valid n up), from one running pass over the expansions.
-    window = [[totals.get(m + offset, 0) for offset in range(spec.order - 1)]
-              for m, totals in zip(range(2, 2 + need), expansion_totals(spec))]
     rules = []
-    for offset, rho in enumerate(zip(*window)):
+    for j in range(spec.order - 1):
+        num = [0, 0, *(i * c[i + j] for i in range(1, spec.order - j))]
+        rho = _series(num, c, need + 2)[2:]  # rho_j(n), n = 2..need+1
         rrec = detect_min_recurrence(rho, max_order)
         if rrec is None:
             return undetermined
-        try:
-            constant = eval_range(spec, -offset, -offset)[0]
-        except ValueError:
-            return undetermined  # residual constant not computable
-        rules.append(ResidualRule(offset, rrec, rho[:rrec.order], 2, constant))
+        constant = eval_range(spec, -j, -j)[0]
+        rules.append(ResidualRule(j, rrec, tuple(rho[:rrec.order]), 2, constant))
 
     candidate = undetermined._replace(
         weight_recurrence=wrec,
-        weight_seeds=weight_seeds,
+        weight_seeds=tuple(weights[:wrec.order]),
         residual_rules=tuple(rules),
     )
     report = verify_conjecture(candidate, 2, verify_hi)

@@ -10,7 +10,6 @@ boundary terms at shifts >= n (which multiply values at index <= 0).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
 
 from .sequences import SequenceSpec, eval_term
 
@@ -96,30 +95,21 @@ def expansion(spec: SequenceSpec, depth: int) -> LinearForm:
     return LinearForm(spec, terms)
 
 
-def expansion_totals(spec: SequenceSpec):
-    """For n = 2, 3, ...: the per-shift totals of the expansions of depth
-    1..n-1, as one dict updated in place (cancelled shifts may stay at 0).
-    Each step adds one expansion, built by one substitution, so reading up
-    to n costs O(n*d) coefficient operations and holds about n + d entries.
-    """
-    totals: dict[int, int] = {}
-    cur = initial_form(spec).terms
-    while True:
-        for k, c in cur.items():
-            totals[k] = totals.get(k, 0) + c
-        yield totals
-        cur = _substitute(cur, spec.coeffs)
-
-
 def sum_expansions(spec: SequenceSpec, n: int) -> CollectedWeights:
     """Sum the expansions of depth 1..n-1 and collect coefficients per shift.
 
     Shifts 1..n-1 populate the weight vector (absent shifts are 0); shifts
-    >= n are kept as the residual.  The totals come from expansion_totals.
+    >= n are kept as the residual.  Each expansion is the last after one
+    substitution: O(n*d) coefficient operations, about n + d totals.
     """
     if n < 2:
         raise ValueError(f"target index must be >= 2, got {n}")
-    totals = next(islice(expansion_totals(spec), n - 2, None))
+    cur = initial_form(spec).terms
+    totals = dict(cur)
+    for _ in range(n - 2):
+        cur = _substitute(cur, spec.coeffs)
+        for k, c in cur.items():
+            totals[k] = totals.get(k, 0) + c
     weights = tuple(totals.get(k, 0) for k in range(1, n))
     residual = {k: c for k, c in sorted(totals.items()) if k >= n and c != 0}
     return CollectedWeights(n, weights, residual)

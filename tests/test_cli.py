@@ -171,7 +171,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     # cli runs as __main__.  No subcommand loads dataclasses (which brings in
     # inspect, ast, dis and tokenize); on builtin specs eval, expand and
     # collect load neither the scan, which lives in verify, nor fractions and
-    # decimal.
+    # decimal; conjecture derives its identity without the expansion engine.
     base = {"seqident.sequences"}
     scan = base | {"seqident.verify"}
     exact = {"fractions", "decimal"}
@@ -185,7 +185,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
         (("verify", "--range=2..300", "--format", "csv", "--jobs", "1"), scan, exact | {"csv"}),
         (("verify", "--range=2..60", "--inductive", "--jobs", "4"), scan, exact),
         (("conjecture", "--spec", "builtin:trib", "--probe-n", "20", "--verify-to", "100"),
-         scan | {"seqident.expansion", "seqident.conjecture"}, exact),
+         scan | {"seqident.conjecture"}, exact),
     ]
     watched = exact | {"json", "csv", "concurrent.futures", "dataclasses", "inspect"}
     for argv, submodules, stdlib in cases:
@@ -512,9 +512,9 @@ def test_eval_output_at_the_budget_runs_in_bounded_memory(tmp_path):
 REFUTED_CSV = (
     "key,value\n"
     "status,refuted\n"
-    "weights.order,2\n"
-    "weights.coeffs,0 1\n"
-    "weights.seeds,0 1\n"
+    "weights.order,4\n"
+    "weights.coeffs,0 1 0 0\n"
+    "weights.seeds,0 1 0 2\n"
     "residual.0.order,2\n"
     "residual.0.coeffs,0 1\n"
     "residual.0.seeds,1 0\n"
@@ -524,18 +524,26 @@ REFUTED_CSV = (
 
 def test_refuted_conjecture_reports_its_first_failure_from_one_scan(
         tmp_path, capsys, monkeypatch):
-    # c1 = 0: the residual fit misses a term, so the identity fails at n=3.
+    # The weights of Z are 0, 2, 0, 2, ...; with a(2) made 1 here, the
+    # identity fails at n=3.
     path = tmp_path / "z.seq"
     path.write_text("seq Z: Z(n)=Z(n-2); Z(0)=1; Z(1)=2\n", encoding="utf-8")
     calls = []
     module = importlib.import_module("seqident.conjecture")
-    original = module.verify_conjecture
+    original, series = module.verify_conjecture, module._series
 
     def counted(*args, **kwargs):
         calls.append(args[1:])
         return original(*args, **kwargs)
 
+    def wrong_weight(num, coeffs, count):
+        s = series(num, coeffs, count)
+        if count == 20:  # the weights' series, to --probe-n
+            s[2] -= 1
+        return s
+
     monkeypatch.setattr(module, "verify_conjecture", counted)
+    monkeypatch.setattr(module, "_series", wrong_weight)
     monkeypatch.setattr(cli, "verify_conjecture", counted, raising=False)
     outs = {}
     for fmt in ("plain", "json", "csv"):

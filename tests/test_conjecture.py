@@ -22,6 +22,7 @@ from seqident.conjecture import (
     detect_min_recurrence,
     verify_conjecture,
 )
+from seqident.dsl import parse
 from seqident.expansion import sum_expansions
 from seqident.sequences import (
     FIBONACCI,
@@ -242,20 +243,35 @@ def test_conjecture_probe_too_small():
 
 def test_conjecture_checks_its_arguments_before_collecting(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("collect_general ran before the arguments were checked")
+        raise AssertionError("_series ran before the arguments were checked")
 
     # The package binds `seqident.conjecture` to the function of that name.
-    monkeypatch.setattr(importlib.import_module("seqident.conjecture"), "collect_general",
+    monkeypatch.setattr(importlib.import_module("seqident.conjecture"), "_series",
                         unreachable)
     cases = [((10_000, 1), {}, "invalid range 2..1"),
              ((10_000, 100), {"max_order": 0}, "max_order must be >= 1, got 0"),
              ((17, 100), {}, "probe_n=17 yields 16 weights; need at least 17 for max_order 8"),
-             ((7, 100), {"max_order": 3}, "probe_n=7 yields 6 weights; need at least 7")]
+             ((7, 100), {"max_order": 3}, "probe_n=7 yields 6 weights; need at least 7"),
+             ((1, 100), {}, "probe_n=1 yields 0 weights; need at least 17")]
     for args, kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
             conjecture(TRIBONACCI, *args, **kwargs)
-    with pytest.raises(AssertionError):  # 18 yields enough: collection starts
+    with pytest.raises(AssertionError):  # 18 yields enough: the derivation starts
         conjecture(TRIBONACCI, 18, 100)
+
+
+def test_conjecture_when_the_least_shift_cancels():
+    # c1 = 0: the weights are 0, 2, 0, 2, ... and rho_0(n) = [n even]
+    spec = parse("seq Z: Z(n)=Z(n-2); Z(0)=1; Z(1)=0")
+    z = iter_values((0, 1), (1, 0), 121)
+    for n in range(2, 121):
+        weighted = sum((1 + (-1) ** k) * z[n - k] for k in range(1, n))
+        assert (n - 1) * z[n] == weighted + (n + 1) % 2 * z[0]
+    conj = conjecture(spec, 40, 120)
+    assert conj.status == VERIFIED and conj.first_failure is None
+    assert conj.weight_recurrence == Recurrence(2, (0, 1))
+    assert conj.weight_seeds == (0, 2)
+    assert conj.residual_rules == (ResidualRule(0, Recurrence(2, (0, 1)), (1, 0), 2, 1),)
 
 
 def test_verify_conjecture_validation():
