@@ -27,7 +27,9 @@ dataclasses, and eval, expand and collect never load fractions: the specs
 the CLI reads are integer-mode.
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
-index is printed), 2 usage or parse errors, or stdout was closed.
+index is printed), 2 usage or parse errors, an argument the library
+rejects (such as NonInvertibleStepError), a spec file that cannot be read
+or decoded, or stdout was closed.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ MAX_EVAL_INDEX = 1_000_000
 MAX_EVAL_BITS = 100_000_000
 
 
-class CliError(Exception):
-    """Usage-level failure; rendered on stderr with exit code 2."""
+class CliError(ValueError):
+    """Usage-level failure; rendered on stderr with exit code 2, as is any
+    ValueError the library raises for an argument it rejects."""
 
 
 def _load_spec(arg: str, name: str | None) -> SequenceSpec:
@@ -91,7 +94,7 @@ def _load_spec(arg: str, name: str | None) -> SequenceSpec:
     try:
         with open(arg, encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read spec file {arg!r}: {exc}") from exc
     from .dsl import SpecSyntaxError, parse_all
 
@@ -152,11 +155,14 @@ def _check_output_budget(what: str, spec: SequenceSpec, lo: int, hi: int) -> Non
                        f"the output budget")
 
 
-def _emit(args, plain_lines, record, csv_header: list[str], csv_rows) -> None:
+def _emit(args, params: dict, status: int, plain_lines, results,
+          csv_header: list[str], csv_rows) -> None:
     """Print the output in --format, nothing under --quiet.  plain_lines,
-    record and csv_rows are functions building the plain lines, the JSON
-    record and the CSV rows; only the one --format names is called, so each
-    value is turned into text once (a 200,000-digit int takes about 0.75 s)."""
+    results and csv_rows are functions building the plain lines, the JSON
+    record's results and the CSV rows; only the one --format names is
+    called, so each value is turned into text once (a 200,000-digit int
+    takes about 0.75 s).  The JSON record is {"command", "params",
+    "results", "status"}, in that order."""
     if args.quiet:
         return
     if args.format == "plain":
@@ -165,7 +171,9 @@ def _emit(args, plain_lines, record, csv_header: list[str], csv_rows) -> None:
     elif args.format == "json":
         import json
 
-        print(json.dumps(record(), indent=2))
+        record = {"command": args.command, "params": params, "results": results(),
+                  "status": status}
+        print(json.dumps(record, indent=2))
     else:
         import csv
 
@@ -208,30 +216,21 @@ def cmd_eval(args) -> int:
     if max(abs(lo), abs(hi)) > MAX_EVAL_INDEX:
         raise CliError(f"eval {what} is outside the supported indices "
                        f"-{MAX_EVAL_INDEX}..{MAX_EVAL_INDEX}")
-    try:
-        values = eval_range(spec, lo, hi)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    values = eval_range(spec, lo, hi)
 
     def plain():
         if lo == hi:
             return [str(values[0])]
         return [f"n={i}: {v}" for i, v in zip(range(lo, hi + 1), values)]
 
-    def record():
-        return {
-            "command": "eval",
-            "params": {"spec": args.spec, "name": spec.name, "lo": lo, "hi": hi},
-            "results": {"values": [
-                {"n": i, "value": str(v)} for i, v in zip(range(lo, hi + 1), values)
-            ]},
-            "status": 0,
-        }
+    def results():
+        return {"values": [{"n": i, "value": str(v)} for i, v in zip(range(lo, hi + 1), values)]}
 
     def rows():
         return [[i, str(v)] for i, v in zip(range(lo, hi + 1), values)]
 
-    _emit(args, plain, record, ["n", "value"], rows)
+    _emit(args, {"spec": args.spec, "name": spec.name, "lo": lo, "hi": hi}, 0,
+          plain, results, ["n", "value"], rows)
     return 0
 
 
@@ -240,30 +239,23 @@ def cmd_expand(args) -> int:
 
     _check_index("expand --depth", args.depth)
     spec = _load_spec(args.spec, args.name)
-    try:
-        form = expansion(spec, args.depth)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    parts = []
-    for k, c in form.terms.items():
-        term = f"{spec.name}(n-{k})"
-        if abs(c) != 1:
-            term = f"{abs(c)}*{term}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    plain = [f"{spec.name}(n) = {' '.join(parts)}"]
-    record = {
-        "command": "expand",
-        "params": {"spec": args.spec, "name": spec.name, "depth": args.depth},
-        "results": {"terms": [
-            {"shift": k, "coefficient": str(c)} for k, c in form.terms.items()
-        ]},
-        "status": 0,
-    }
-    rows = [[k, str(c)] for k, c in form.terms.items()]
-    _emit(args, lambda: plain, lambda: record, ["shift", "coefficient"], lambda: rows)
+    terms = expansion(spec, args.depth).terms
+
+    def plain():
+        parts = []
+        for k, c in terms.items():
+            term = f"{spec.name}(n-{k})"
+            if abs(c) != 1:
+                term = f"{abs(c)}*{term}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + term)
+        return [f"{spec.name}(n) = {' '.join(parts)}"]
+
+    _emit(args, {"spec": args.spec, "name": spec.name, "depth": args.depth}, 0, plain,
+          lambda: {"terms": [{"shift": k, "coefficient": str(c)} for k, c in terms.items()]},
+          ["shift", "coefficient"], lambda: [[k, str(c)] for k, c in terms.items()])
     return 0
 
 
@@ -272,32 +264,22 @@ def cmd_collect(args) -> int:
 
     _check_index("collect --n", args.n)
     spec = _load_spec(args.spec, args.name)
-    try:
-        w = sum_expansions(spec, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    w = sum_expansions(spec, args.n)
+
     def plain():
         return (["weights: " + " ".join(map(str, w.weights))]
                 + [f"residual shift {k}: {c}" for k, c in w.residual.items()])
 
-    def record():
-        return {
-            "command": "collect",
-            "params": {"spec": args.spec, "name": spec.name, "n": args.n},
-            "results": {
-                "weights": list(map(str, w.weights)),
-                "residual": [
-                    {"shift": k, "coefficient": str(c)} for k, c in w.residual.items()
-                ],
-            },
-            "status": 0,
-        }
+    def results():
+        return {"weights": list(map(str, w.weights)),
+                "residual": [{"shift": k, "coefficient": str(c)} for k, c in w.residual.items()]}
 
     def rows():
         return ([["weight", k, str(a)] for k, a in enumerate(w.weights, start=1)]
                 + [["residual", k, str(c)] for k, c in w.residual.items()])
 
-    _emit(args, plain, record, ["kind", "index", "value"], rows)
+    _emit(args, {"spec": args.spec, "name": spec.name, "n": args.n}, 0,
+          plain, results, ["kind", "index", "value"], rows)
     return 0
 
 
@@ -334,22 +316,18 @@ def cmd_verify(args) -> int:
                          f"difference={rhs - lhs}")
         return lines
 
-    def record():
-        return {
-            "command": "verify",
-            "params": {"lo": lo, "hi": hi, "inductive": bool(args.inductive)},
-            "results": {"checks": [
-                {"kind": kind, "index": i, "lhs": str(lhs), "rhs": str(rhs), "pass": ok}
-                for kind, i, lhs, rhs, ok in checks
-            ]},
-            "status": status,
-        }
+    def results():
+        return {"checks": [
+            {"kind": kind, "index": i, "lhs": str(lhs), "rhs": str(rhs), "pass": ok}
+            for kind, i, lhs, rhs, ok in checks
+        ]}
 
     def rows():
         return [[kind, i, str(lhs), str(rhs), "PASS" if ok else "FAIL"]
                 for kind, i, lhs, rhs, ok in checks]
 
-    _emit(args, plain, record, ["kind", "index", "lhs", "rhs", "status"], rows)
+    _emit(args, {"lo": lo, "hi": hi, "inductive": bool(args.inductive)}, status,
+          plain, results, ["kind", "index", "lhs", "rhs", "status"], rows)
     return status
 
 
@@ -359,11 +337,7 @@ def cmd_conjecture(args) -> int:
     _check_index("--verify-to", args.verify_to)
     _check_index("--probe-n", args.probe_n)
     spec = _load_spec(args.spec, args.name)
-    try:
-        conj = conjecture(spec, args.probe_n, args.verify_to,
-                          max_order=args.max_order)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    conj = conjecture(spec, args.probe_n, args.verify_to, max_order=args.max_order)
     status = 0 if conj.status == VERIFIED else 1
 
     plain = [f"status: {conj.status}"]
@@ -371,7 +345,8 @@ def cmd_conjecture(args) -> int:
     weights_json = failure_json = None
     residuals_json = []
     if conj.weight_recurrence is None:
-        plain.append("no recurrence fit the collected weights; nothing verified")
+        plain.append(f"no recurrence of order <= {args.max_order} fit the weights "
+                     "or a residual coefficient; nothing verified")
     else:
         wr = conj.weight_recurrence
         weights_json = {"order": wr.order, "coeffs": [str(c) for c in wr.coeffs],
@@ -399,23 +374,14 @@ def cmd_conjecture(args) -> int:
                          f"difference={f.rhs - f.lhs}")
             failure_json = {"n": f.n, "lhs": str(f.lhs), "rhs": str(f.rhs)}
 
-    record = {
-        "command": "conjecture",
-        "params": {
-            "spec": args.spec, "name": spec.name, "probe_n": args.probe_n,
-            "verify_to": args.verify_to, "max_order": args.max_order,
-        },
-        "results": {
-            "status": conj.status,
-            "weights": weights_json,
-            "residuals": residuals_json,
-            "range": {"lo": conj.verified_lo, "hi": conj.verified_hi},
-            "first_failure": failure_json,
-        },
-        "status": status,
-    }
+    params = {"spec": args.spec, "name": spec.name, "probe_n": args.probe_n,
+              "verify_to": args.verify_to, "max_order": args.max_order}
+    results = {"status": conj.status, "weights": weights_json, "residuals": residuals_json,
+               "range": {"lo": conj.verified_lo, "hi": conj.verified_hi},
+               "first_failure": failure_json}
     # The renderings share their few short texts, so all three are built.
-    _emit(args, lambda: plain, lambda: record, ["key", "value"], lambda: csv_rows)
+    _emit(args, params, status, lambda: plain, lambda: results, ["key", "value"],
+          lambda: csv_rows)
     return status
 
 
@@ -514,7 +480,7 @@ def _run(argv) -> int:
         if args.jobs < 1:
             raise CliError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:  # CliError, or an argument the library rejects
         print(f"seqident: error: {exc}", file=sys.stderr)
         return 2
 

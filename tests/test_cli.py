@@ -130,6 +130,29 @@ def test_expand_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows == [["shift", "coefficient"], ["4", "5"], ["5", "3"]]
+    code, out, _ = run(capsys, "collect", "--spec", "builtin:fib", "--n", "6",
+                       "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["kind", "index", "value"], ["weight", "1", "1"], ["weight", "2", "3"],
+                    ["weight", "3", "4"], ["weight", "4", "7"], ["weight", "5", "11"],
+                    ["residual", "6", "5"]]
+
+
+def test_verify_failure_in_every_format(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_identity_chunk", lambda bounds: [(2, 1, 1, True),
+                                                                 (3, 2, 3, False)])
+    outs = {}
+    for fmt in ("plain", "json", "csv"):
+        code, outs[fmt], _ = run(capsys, "verify", "--range", "2..3", "--format", fmt)
+        assert code == 1, fmt
+    assert outs["plain"].splitlines() == ["n=2: S=1 (n-1)F=1 PASS", "n=3: S=3 (n-1)F=2 FAIL",
+                                          "first failure: n=3 lhs=2 rhs=3 difference=1"]
+    record = json.loads(outs["json"])
+    assert list(record) == ["command", "params", "results", "status"]
+    assert record["status"] == 1
+    assert [c["pass"] for c in record["results"]["checks"]] == [True, False]
+    assert outs["csv"].splitlines()[-1] == "identity,3,2,3,FAIL"
 
 
 def test_jobs_do_not_change_output_bytes(capsys):
@@ -291,6 +314,8 @@ def test_conjecture_undetermined_exits_one(capsys):
                        "--probe-n", "40", "--verify-to", "60", "--max-order", "1")
     assert code == 1
     assert out.splitlines()[0] == "status: undetermined"
+    assert out.splitlines()[1] == ("no recurrence of order <= 1 fit the weights or a "
+                                   "residual coefficient; nothing verified")
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -306,9 +331,14 @@ def test_unknown_builtin_exits_two(capsys):
 
 
 def test_bad_range_exits_two(capsys):
-    assert run(capsys, "verify", "--range", "six..ten")[0] == 2
-    assert run(capsys, "verify", "--range", "9..2")[0] == 2
-    assert run(capsys, "verify", "--range", "1..5")[0] == 2
+    # The last two are rejected by the library, not by the CLI's own checks.
+    for argv in (("verify", "--range", "six..ten"), ("verify", "--range", "9..2"),
+                 ("verify", "--range", "1..5"),
+                 ("expand", "--spec", "builtin:fib", "--depth", "0"),
+                 ("collect", "--spec", "builtin:fib", "--n", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("seqident: error:") and err.count("\n") == 1, argv
 
 
 def test_missing_subcommand_exits_two(capsys):
@@ -355,10 +385,15 @@ def test_spec_with_a_huge_lag_exits_two_in_bounded_memory(tmp_path):
                            "for an order-1000000000 recurrence, got 1\n")
 
 
-def test_missing_spec_file_exits_two(capsys):
-    code, _, err = run(capsys, "eval", "--spec", "/nonexistent.seq", "--n", "3")
-    assert code == 2
-    assert "cannot read spec file" in err
+def test_missing_spec_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.seq"
+    path.write_bytes(b"seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(2)=1 # caf\xff\n")
+    for spec in ("/nonexistent.seq", str(path)):
+        code, _, err = run(capsys, "eval", "--spec", spec, "--n", "3")
+        assert code == 2
+        assert "cannot read spec file" in err
+    assert err.endswith("'utf-8' codec can't decode byte 0xff in position 47: "
+                        "invalid start byte\n")
 
 
 def test_eval_custom_spec_matches_library(tmp_path, capsys):
@@ -377,6 +412,12 @@ def test_noninvertible_backward_eval_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--spec", str(path), "--range=-2..4")
     assert code == 2
     assert "backward" in err
+    # From J(1), the identity's constant J(0) needs a step backward.
+    path.write_text("seq J: J(n)=J(n-1)+2*J(n-2); J(1)=0; J(2)=1\n", encoding="utf-8")
+    code, out, err = run(capsys, "conjecture", "--spec", str(path), "--probe-n", "40",
+                         "--verify-to", "60")
+    assert (code, out) == (2, "")
+    assert err.startswith("seqident: error: cannot extend 'J' backward") and err.count("\n") == 1
 
 
 def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):

@@ -230,10 +230,14 @@ def test_conjecture_residual_constant_is_linear_in_seeds():
 
 
 def test_conjecture_undetermined_when_order_cap_too_low():
-    conj = conjecture(FIBONACCI, 40, 100, max_order=1)
-    assert conj.status == UNDETERMINED
-    assert conj.weight_recurrence is None
-    assert conj.residual_rules == ()
+    # U's weights are all 2, order 1, but its rho_0 = -x**2/(1-x)**2 needs
+    # order 2; Fibonacci's weights already need order 2.
+    linear = parse("seq U: U(n)=2*U(n-1)-U(n-2); U(0)=0; U(1)=1")
+    for spec, probe_n, verify_hi in ((FIBONACCI, 40, 100), (linear, 10, 20)):
+        conj = conjecture(spec, probe_n, verify_hi, max_order=1)
+        assert conj.status == UNDETERMINED
+        assert conj.weight_recurrence is None
+        assert conj.residual_rules == ()
 
 
 def test_conjecture_probe_too_small():

@@ -116,6 +116,8 @@ BAD_CASES = [
     ("seq F: F(n)=G(n-1)+F(n-2); F(1)=1; F(2)=1", 1, 13, "expected sequence name 'F'"),
     ("seq F: F(x)=F(n-1)+F(n-2); F(1)=1; F(2)=1", 1, 10, "'n'"),
     ("seq F: F(n)=F(n+1); F(1)=1; F(2)=1", 1, 16, "expected '-'"),
+    ("seq F: F(n)=+F(n-1); F(1)=1", 1, 13, "unexpected '+'"),
+    ("seq F: F(n)=F(m-1); F(1)=1", 1, 15, "term index must be"),
     ("seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(2)=1 %", 1, 43, "unexpected character"),
     ("", 1, 1, "end of input"),
 ]

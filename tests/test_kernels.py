@@ -49,17 +49,30 @@ def test_dot_product_of_empty_lists_is_int_zero():
     assert got == 0 and type(got) is int
 
 
-def test_convolution_values_matches_plain_loop():
+def test_convolution_values_matches_plain_loop(monkeypatch):
     rng = random.Random(11)
     weights_int, weights_frac = random_lists(rng, 40)
     values_int, values_frac = random_lists(rng, 40)
-    for weights, values in ((weights_int, values_int), (weights_frac, values_frac),
-                            (weights_int, values_frac)):
-        for lo, hi in ((0, 0), (0, 39), (1, 1), (2, 2), (2, 39), (17, 23), (39, 39)):
-            got = convolution_values(weights, values, lo, hi)
-            want = naive_convolution(weights, values, lo, hi)
-            assert got == want
-            assert [type(v) for v in got] == [type(v) for v in want]
+    cases = [(weights_int, values_int), (weights_frac, values_frac),
+             (weights_int, values_frac)]
+    # Digit-sized entries fit the product's cap, so at _SPLIT_COST 1 a
+    # product negates a negative result and divides out a common denominator.
+    for _ in range(4):
+        cases.append(([rng.randint(-9, 9) for _ in range(8)],
+                      [rng.randint(-9, 9) for _ in range(8)]))
+        cases.append(([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(8)],
+                      [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(8)]))
+    for split_cost in (1, verify._SPLIT_COST):
+        monkeypatch.setattr(verify, "_SPLIT_COST", split_cost)
+        for weights, values in cases:
+            top = len(weights) - 1
+            for lo, hi in ((0, 0), (0, top), (1, 1), (2, 2), (2, top), (17, 23), (top, top)):
+                if hi > top:
+                    continue
+                got = convolution_values(weights, values, lo, hi)
+                want = naive_convolution(weights, values, lo, hi)
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
 
 
 @st.composite
