@@ -29,7 +29,7 @@ the CLI reads are integer-mode.
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors, an argument the library
 rejects (such as NonInvertibleStepError), a spec file that cannot be read
-or decoded, or stdout was closed.
+or decoded or is over MAX_SPEC_BYTES, or stdout was closed.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import sys
 # function that runs it (dsl, expansion, verify, conjecture, json and csv),
 # so a process loads only what its subcommand runs; without a bytecode
 # cache, every module loaded is compiled on every start.
-from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range
+from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range, format_terms
 
 _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 
@@ -77,6 +77,12 @@ MAX_EVAL_INDEX = 1_000_000
 # 6 s to print, and one of the whole budget would take hours.
 MAX_EVAL_BITS = 100_000_000
 
+# The most bytes read from a --spec file; a larger one exits 2 unparsed.
+# A spec is a few lines; 1 MiB leaves room for long comments.  A higher cap
+# lets one huge coefficient cost seconds: int() of a 1,000,000-digit literal
+# takes 6-9 s (2 cores, Python 3.11).
+MAX_SPEC_BYTES = 1 << 20
+
 
 class CliError(ValueError):
     """Usage-level failure; rendered on stderr with exit code 2, as is any
@@ -92,8 +98,12 @@ def _load_spec(arg: str, name: str | None) -> SequenceSpec:
             raise CliError(f"unknown builtin {key!r} (known: {known})")
         return BUILTIN_SPECS[key]
     try:
-        with open(arg, encoding="utf-8") as fh:
-            source = fh.read()
+        with open(arg, "rb") as fh:
+            data = fh.read(MAX_SPEC_BYTES + 1)
+        if len(data) > MAX_SPEC_BYTES:
+            raise CliError(f"spec file {arg!r} is larger than {MAX_SPEC_BYTES} bytes")
+        # Newlines as a text-mode read gives them: \r\n and a lone \r end a line.
+        source = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read spec file {arg!r}: {exc}") from exc
     from .dsl import SpecSyntaxError, parse_all
@@ -202,20 +212,17 @@ def _inductive_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]
 
 
 def cmd_eval(args) -> int:
-    if args.n is not None and abs(args.n) > MAX_EVAL_INDEX:
-        raise CliError(f"eval --n {args.n} is outside the supported indices "
-                       f"-{MAX_EVAL_INDEX}..{MAX_EVAL_INDEX}")
-    spec = _load_spec(args.spec, args.name)
     if args.n is not None:
         lo = hi = args.n
         what = f"--n {args.n}"
     else:
         lo, hi = _parse_range(args.range)
         what = f"--range {args.range}"
-    _check_output_budget(what, spec, lo, hi)
     if max(abs(lo), abs(hi)) > MAX_EVAL_INDEX:
         raise CliError(f"eval {what} is outside the supported indices "
                        f"-{MAX_EVAL_INDEX}..{MAX_EVAL_INDEX}")
+    spec = _load_spec(args.spec, args.name)
+    _check_output_budget(what, spec, lo, hi)
     values = eval_range(spec, lo, hi)
 
     def plain():
@@ -241,19 +248,8 @@ def cmd_expand(args) -> int:
     spec = _load_spec(args.spec, args.name)
     terms = expansion(spec, args.depth).terms
 
-    def plain():
-        parts = []
-        for k, c in terms.items():
-            term = f"{spec.name}(n-{k})"
-            if abs(c) != 1:
-                term = f"{abs(c)}*{term}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return [f"{spec.name}(n) = {' '.join(parts)}"]
-
-    _emit(args, {"spec": args.spec, "name": spec.name, "depth": args.depth}, 0, plain,
+    _emit(args, {"spec": args.spec, "name": spec.name, "depth": args.depth}, 0,
+          lambda: [f"{spec.name}(n) = {format_terms(spec.name, terms.items(), ' ')}"],
           lambda: {"terms": [{"shift": k, "coefficient": str(c)} for k, c in terms.items()]},
           ["shift", "coefficient"], lambda: [[k, str(c)] for k, c in terms.items()])
     return 0

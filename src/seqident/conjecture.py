@@ -121,8 +121,7 @@ def detect_min_recurrence(values: list, max_order: int) -> Recurrence | None:
     if r == 0:
         r, sol = 1, [0]
     coeffs = tuple(c.numerator if c.denominator == 1 else c for c in sol)
-    if not all(values[i] == sum(c * values[i - j] for j, c in enumerate(coeffs, start=1))
-               for i in range(r, len(values))):
+    if list(values[r:]) != fill_forward(coeffs, values[:r], len(values) - r):
         raise ArithmeticError(f"Berlekamp-Massey rule {coeffs} does not fit the values")
     return Recurrence(r, coeffs)
 

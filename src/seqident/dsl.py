@@ -15,8 +15,9 @@ an equal spec.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, format_terms
 
 RESERVED_NAMES = frozenset({"seq", "n"})
 
@@ -43,14 +44,7 @@ class SpecSyntaxError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -240,18 +234,7 @@ def format_spec(spec: SequenceSpec) -> str:
     """Canonical one-line statement for `spec`; parse(format_spec(s)) == s."""
     if not _IDENT_RE.match(spec.name) or spec.name in RESERVED_NAMES:
         raise ValueError(f"{spec.name!r} is not a formattable sequence name")
-    parts = []
-    for lag, c in enumerate(spec.coeffs, start=1):
-        if c == 0:
-            continue
-        term = f"{spec.name}(n-{lag})"
-        if abs(c) != 1:
-            term = f"{abs(c)}*{term}"
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+" if c > 0 else "-") + term)
-    body = "".join(parts)
+    body = format_terms(spec.name, enumerate(spec.coeffs, start=1), "")
     seeds = "; ".join(
         f"{spec.name}({spec.seed_start + i})={v}" for i, v in enumerate(spec.seeds)
     )

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .sequences import SequenceSpec, eval_term
+from .sequences import CheckedRecord, SequenceSpec, eval_term
 
 
-class LinearForm(namedtuple("LinearForm", "spec terms")):
+class LinearForm(CheckedRecord, namedtuple("LinearForm", "spec terms")):
     """U(n) = sum over shifts k of terms[k] * U(n-k), with k >= 1.
 
     Zero coefficients are never stored; terms is a new dict in shift order.
@@ -26,11 +26,6 @@ class LinearForm(namedtuple("LinearForm", "spec terms")):
     def __new__(cls, spec: SequenceSpec, terms: dict[int, int] | None = None):
         terms = {k: c for k, c in sorted((terms or {}).items()) if c != 0}
         return super().__new__(cls, spec, terms)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through __new__, so that _replace checks the fields too."""
-        return cls(*iterable)
 
     @property
     def min_shift(self) -> int:

@@ -31,7 +31,19 @@ class NonInvertibleStepError(ValueError):
     opts into rational mode."""
 
 
-class SequenceSpec(namedtuple("SequenceSpec", "name coeffs seeds seed_start rational")):
+class CheckedRecord:
+    """Base of the namedtuple records whose __new__ checks their fields:
+    _make, and with it _replace, builds through __new__ too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class SequenceSpec(CheckedRecord,
+                   namedtuple("SequenceSpec", "name coeffs seeds seed_start rational")):
     """An order-d linear recurrence U(n) = c1*U(n-1) + ... + cd*U(n-d).
 
     `seeds` are the first d values, starting at index `seed_start`.
@@ -55,11 +67,6 @@ class SequenceSpec(namedtuple("SequenceSpec", "name coeffs seeds seed_start rati
         if coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero (true order)")
         return super().__new__(cls, name, coeffs, seeds, seed_start, rational)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through __new__, so that _replace checks the fields too."""
-        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -87,6 +94,24 @@ BUILTIN_SPECS = {
     "tribonacci": TRIBONACCI,
     "trib": TRIBONACCI,
 }
+
+
+def format_terms(name: str, terms, sep: str) -> str:
+    """The terms c*NAME(n-k) of the (k, c) pairs in `terms`, skipping c = 0
+    and writing |c| = 1 as NAME(n-k).  `sep` joins the terms, and each sign
+    after the first to its term: "" gives F(n-1)+F(n-2), " " F(n-1) + F(n-2)."""
+    parts = []
+    for k, c in terms:
+        if c == 0:
+            continue
+        term = f"{name}(n-{k})"
+        if abs(c) != 1:
+            term = f"{abs(c)}*{term}"
+        if not parts:
+            parts.append(term if c > 0 else "-" + term)
+        else:
+            parts.append(("+" if c > 0 else "-") + sep + term)
+    return sep.join(parts)
 
 
 def fib_pair(n: int) -> tuple[int, int]:

@@ -47,7 +47,7 @@ from itertools import accumulate
 from math import lcm
 from operator import add, mul
 
-from .sequences import FIBONACCI, LUCAS, SequenceSpec, eval_range
+from .sequences import FIBONACCI, LUCAS, CheckedRecord, eval_range
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -61,7 +61,8 @@ class Failure(namedtuple("Failure", "n lhs rhs")):
     __slots__ = ()
 
 
-class IdentityReport(namedtuple("IdentityReport", "lo hi passed first_failure elapsed")):
+class IdentityReport(CheckedRecord,
+                     namedtuple("IdentityReport", "lo hi passed first_failure elapsed")):
     """Outcome of checking the identity over an index range."""
 
     __slots__ = ()
@@ -71,11 +72,6 @@ class IdentityReport(namedtuple("IdentityReport", "lo hi passed first_failure el
         if passed != (first_failure is None):
             raise ValueError("passed must agree with absence of first_failure")
         return super().__new__(cls, lo, hi, passed, first_failure, elapsed)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through __new__, so that _replace checks the fields too."""
-        return cls(*iterable)
 
 
 # A scan is one product when it has at least this many pairs in the band
@@ -223,17 +219,20 @@ def _rows(a: list, b: list, t0: int, t1: int) -> list:
             + [sum(map(mul, a[t - q + 1:], rb)) for t in range(max(t0, q), t1 + 1)])
 
 
-def convolution_sum(n: int, *, lucas_spec: SequenceSpec = LUCAS,
-                    fib_spec: SequenceSpec = FIBONACCI, _tables=None):
+def _lucas_fib_tables(hi: int) -> tuple[list, list]:
+    """(lucs, fibs) with lucs[i] = L(i) and fibs[i] = F(i) for i = 0..hi.
+    LUCAS and FIBONACCI are read from this module at each call, so a test
+    can replace them."""
+    return eval_range(LUCAS, 0, hi), eval_range(FIBONACCI, 0, hi)
+
+
+def convolution_sum(n: int, *, _tables=None):
     """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation."""
-    # _tables, for inductive_rows only, is (lucs, fibs) with lucs[i] = L(i)
-    # and fibs[i] = F(i) for every i up to at least n-1, read in place of
-    # evaluating the default specs.
+    # _tables, for inductive_rows only, is _lucas_fib_tables(h) for some
+    # h >= n-1, read in place of evaluating the tables again.
     if n < 2:
         raise ValueError(f"convolution sum needs n >= 2, got {n}")
-    if _tables is None:
-        _tables = ([0, *eval_range(lucas_spec, 1, n - 1)], [0, *eval_range(fib_spec, 1, n - 1)])
-    lucs, fibs = _tables
+    lucs, fibs = _lucas_fib_tables(n - 1) if _tables is None else _tables
     return dot_product(lucs[1:n], fibs[n - 1:0:-1])  # L(k) paired with F(n-k)
 
 
@@ -255,12 +254,9 @@ def identity_rows(lo: int, hi: int, weights, values, extra=()):
         yield n, lhs, rhs, rhs == lhs and Fraction(rhs, n - 1) == u
 
 
-def fibonacci_rows(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
-                   lucas_spec: SequenceSpec = LUCAS):
+def fibonacci_rows(lo: int, hi: int):
     """identity_rows for the paper's instance U = F, a = L, no residual."""
-    fibs = eval_range(fib_spec, 0, hi)
-    lucs = eval_range(lucas_spec, 0, hi)
-    return identity_rows(lo, hi, lucs, fibs)
+    return identity_rows(lo, hi, *_lucas_fib_tables(hi))
 
 
 def require_range(lo: int, hi: int) -> None:
@@ -280,17 +276,11 @@ def check_identity(n: int) -> IdentityReport:
     return check_range(n, n)
 
 
-def check_range(lo: int, hi: int, *, fib_spec: SequenceSpec = FIBONACCI,
-                lucas_spec: SequenceSpec = LUCAS) -> IdentityReport:
-    """Check the identity for every n in lo..hi; report the least failure.
-
-    The spec arguments exist so tests can inject tampered sequences; the
-    defaults are the real ones.
-    """
+def check_range(lo: int, hi: int) -> IdentityReport:
+    """Check the identity for every n in lo..hi; report the least failure."""
     require_range(lo, hi)
     t0 = time.perf_counter()
-    rows = fibonacci_rows(lo, hi, fib_spec=fib_spec, lucas_spec=lucas_spec)
-    return scan_report(lo, hi, rows, t0)
+    return scan_report(lo, hi, fibonacci_rows(lo, hi), t0)
 
 
 def inductive_rows(lo: int, hi: int):
@@ -305,7 +295,7 @@ def inductive_rows(lo: int, hi: int):
     """
     if lo < 3:
         raise ValueError(f"inductive step needs m >= 3, got {lo}")
-    tables = lucs, fibs = eval_range(LUCAS, 0, hi + 1), eval_range(FIBONACCI, 0, hi + 1)
+    tables = lucs, fibs = _lucas_fib_tables(hi + 1)
     for m in range(lo, hi + 1):
         s_next = convolution_sum(m + 1, _tables=tables)
         decomposed = (fibs[m] + convolution_sum(m, _tables=tables) + lucs[0] * fibs[m - 1]
@@ -324,7 +314,7 @@ def reindex_equal(m: int) -> bool:
     with both summations evaluated independently."""
     if m < 3:
         raise ValueError(f"reindex check needs m >= 3, got {m}")
-    lucs, fibs = eval_range(LUCAS, 0, m), eval_range(FIBONACCI, 0, m)
+    lucs, fibs = _lucas_fib_tables(m)
     left = sum(lucs[k] * fibs[m + 1 - k] for k in range(2, m + 1))
     right = sum(lucs[j + 1] * fibs[m - j] for j in range(1, m))
     return left == right

@@ -360,6 +360,11 @@ def test_spec_file_loading(tmp_path, capsys):
     # unknown name
     code, _, err = run(capsys, "eval", "--spec", str(path), "--name", "X", "--n", "4")
     assert code == 2 and "no sequence named" in err
+    # Lines end as a text-mode read ends them: a comment stops at \r\n or a lone \r.
+    path.write_bytes(b"# pair\r\nseq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(2)=1 # F\r"
+                     b"seq L: L(n)=L(n-1)+L(n-2); L(0)=2; L(1)=1\r")
+    code, out, _ = run(capsys, "eval", "--spec", str(path), "--name", "L", "--n", "4")
+    assert code == 0 and out == "7\n"
 
 
 def test_malformed_spec_file_exits_two_with_position(tmp_path, capsys):
@@ -394,6 +399,28 @@ def test_missing_spec_file_exits_two(tmp_path, capsys):
         assert "cannot read spec file" in err
     assert err.endswith("'utf-8' codec can't decode byte 0xff in position 47: "
                         "invalid start byte\n")
+
+
+def test_spec_file_over_the_size_cap_exits_two(tmp_path, capsys):
+    text = b"seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(2)=1\n#"
+    path = tmp_path / "padded.seq"
+    path.write_bytes(text.ljust(cli.MAX_SPEC_BYTES, b"x"))
+    assert run(capsys, "eval", "--spec", str(path), "--n", "10")[:2] == (0, "55\n")
+    path.write_bytes(text.ljust(cli.MAX_SPEC_BYTES + 1, b"x"))
+    code, out, err = run(capsys, "eval", "--spec", str(path), "--n", "10")
+    assert (code, out) == (2, "")
+    assert err == (f"seqident: error: spec file {str(path)!r} is larger than "
+                   f"{cli.MAX_SPEC_BYTES} bytes\n")
+    if os.path.exists("/dev/zero"):
+        # Read whole, this file fills any memory; under the limit that ends
+        # in a MemoryError traceback and exit 1.
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqident.cli", "eval", "--spec", "/dev/zero", "--n=3"],
+            env=child_env(), preexec_fn=_limit_address_space, capture_output=True,
+            text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"seqident: error: spec file '/dev/zero' is larger than "
+                               f"{cli.MAX_SPEC_BYTES} bytes\n")
 
 
 def test_eval_custom_spec_matches_library(tmp_path, capsys):
@@ -474,6 +501,15 @@ def test_eval_indices_beyond_the_maximum_exit_two(capsys, monkeypatch):
         assert out == ""
         assert err == (f"seqident: error: eval --range {text} is outside the supported "
                        f"indices -{cli.MAX_EVAL_INDEX}..{cli.MAX_EVAL_INDEX}\n")
+    # The index is checked first: before the spec file is read (this one
+    # does not exist) and before the output budget, which these exceed too.
+    far = 10 ** 400  # beyond the float range
+    for text in ("0..100000000", f"0..{far}", f"{far}..{far}"):
+        for spec in ("builtin:fib", "/nonexistent.seq"):
+            code, out, err = run(capsys, "eval", "--spec", spec, f"--range={text}")
+            assert (code, out) == (2, "")
+            assert err == (f"seqident: error: eval --range {text} is outside the supported "
+                           f"indices -{cli.MAX_EVAL_INDEX}..{cli.MAX_EVAL_INDEX}\n")
 
 
 def _limit_address_space(megabytes=256):
@@ -514,17 +550,17 @@ def test_eval_output_over_the_budget_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "eval_range", must_not_run)
     path = tmp_path / "b.seq"
     path.write_text(f"seq B: B(n) = {2 ** 200}*B(n-1); B(0)=1\n", encoding="utf-8")
-    far = 10 ** 400  # beyond the float range
-    for argv in [("--spec", "builtin:fib", "--range=0..100000000"),
-                 ("--spec", "builtin:fib", "--range=0..40000"),
+    far = tmp_path / "far.seq"  # n = 0 lies a distance beyond the float range below the seed
+    far.write_text(f"seq A: A(n)=A(n-1); A({10 ** 400})=1\n", encoding="utf-8")
+    for argv in [("--spec", "builtin:fib", "--range=0..40000"),
                  ("--spec", "builtin:trib", "--range=-60000..-59000"),
-                 ("--spec", "builtin:fib", f"--range=0..{far}"),
-                 ("--spec", "builtin:fib", f"--range={far}..{far}"),
-                 ("--spec", str(path), "--n=1000000")]:
+                 ("--spec", str(path), "--n=1000000"),
+                 ("--spec", str(far), "--n=0")]:
         code, out, err = run(capsys, "eval", *argv)
         assert code == 2, argv
         assert out == ""
-        assert err.startswith("seqident: error: eval --") and str(cli.MAX_EVAL_BITS) in err
+        assert err.startswith("seqident: error: eval --") and err.endswith(
+            f" could print more than {cli.MAX_EVAL_BITS} bits, the output budget\n")
 
 
 def test_eval_output_at_the_budget_runs_in_bounded_memory(tmp_path):

@@ -1,10 +1,12 @@
 """Tests for the package's public names, which load on first use."""
 
 import contextlib
+import doctest
 import importlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -55,6 +57,18 @@ def test_a_bare_import_loads_no_submodule():
     out = in_child("import sys, seqident; "
                    "print(sorted(m for m in sys.modules if m.startswith('seqident.')))")
     assert out == "[]\n"
+
+
+def test_the_readme_quick_start_runs():
+    # `python -m doctest README.md` would read each closing fence as
+    # expected output, so only the ```python blocks are run.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    test = doctest.DocTestParser().get_doctest("".join(blocks), {}, "README.md", None, 0)
+    out = io.StringIO()
+    result = doctest.DocTestRunner().run(test, out=out.write)
+    assert result.attempted > 0 and result.failed == 0, out.getvalue()
 
 
 def load_tracing():
