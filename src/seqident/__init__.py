@@ -32,23 +32,17 @@ _EXPORTS = {
     "lucas": "sequences",
     "eval_term": "sequences",
     "eval_range": "sequences",
-    "extend_backward": "sequences",
     "LinearForm": "expansion",
     "CollectedWeights": "expansion",
     "initial_form": "expansion",
-    "substitute_min_shift": "expansion",
     "expansion": "expansion",
     "sum_expansions": "expansion",
-    "form_value_at": "expansion",
-    "validate_form": "expansion",
     "Failure": "verify",
     "IdentityReport": "verify",
     "convolution_sum": "verify",
-    "check_identity": "verify",
     "check_range": "verify",
     "inductive_step_check": "verify",
     "reindex_equal": "verify",
-    "weights_are_lucas": "verify",
     "Recurrence": "conjecture",
     "ResidualRule": "conjecture",
     "ConjecturedIdentity": "conjecture",

@@ -33,6 +33,12 @@ _TOKEN_RE = re.compile(
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# The most digits an integer literal may have: CPython's default int/str
+# limit.  int() of text is quadratic on CPython 3.11 (10**6 digits: about
+# 6 s); 4300 digits take about 0.1 ms, so a spec file at the CLI's 1 MiB cap
+# holds at most about 240 such literals and 30 ms of conversion.
+MAX_LITERAL_DIGITS = 4300
+
 
 class SpecSyntaxError(ValueError):
     """Parse or validation failure, carrying the 1-based source position."""
@@ -97,7 +103,10 @@ class _Parser:
         return self.next()
 
     def expect_int(self, what: str) -> int:
-        return int(self.expect("int", what).text)
+        tok = self.expect("int", what)
+        if len(tok.text) > MAX_LITERAL_DIGITS:
+            self.fail(f"{what} has more than {MAX_LITERAL_DIGITS} digits", tok)
+        return int(tok.text)
 
     def signed_int(self, what: str) -> int:
         sign = 1

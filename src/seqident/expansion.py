@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .sequences import CheckedRecord, SequenceSpec, eval_term
+from .sequences import CheckedRecord, SequenceSpec
 
 
 class LinearForm(CheckedRecord, namedtuple("LinearForm", "spec terms")):
@@ -26,14 +26,6 @@ class LinearForm(CheckedRecord, namedtuple("LinearForm", "spec terms")):
     def __new__(cls, spec: SequenceSpec, terms: dict[int, int] | None = None):
         terms = {k: c for k, c in sorted((terms or {}).items()) if c != 0}
         return super().__new__(cls, spec, terms)
-
-    @property
-    def min_shift(self) -> int:
-        return min(self.terms)
-
-    @property
-    def max_shift(self) -> int:
-        return max(self.terms)
 
 
 class CollectedWeights(namedtuple("CollectedWeights", "n weights residual")):
@@ -69,17 +61,6 @@ def _substitute(terms: dict[int, int], coeffs: tuple[int, ...]) -> dict[int, int
     return out
 
 
-def substitute_min_shift(form: LinearForm) -> LinearForm:
-    """Replace the least-shifted term by its expansion under the recurrence.
-
-    The term (k_min -> c) is removed and c*ci is added at shift k_min + i;
-    the value of the form at any index is unchanged.
-    """
-    if not form.terms:
-        raise ValueError("cannot substitute into an empty form")
-    return LinearForm(form.spec, _substitute(form.terms, form.spec.coeffs))
-
-
 def expansion(spec: SequenceSpec, depth: int) -> LinearForm:
     """The form after depth-1 substitutions of the least-shifted term."""
     if depth < 1:
@@ -108,17 +89,3 @@ def sum_expansions(spec: SequenceSpec, n: int) -> CollectedWeights:
     weights = tuple(totals.get(k, 0) for k in range(1, n))
     residual = {k: c for k, c in sorted(totals.items()) if k >= n and c != 0}
     return CollectedWeights(n, weights, residual)
-
-
-def form_value_at(form: LinearForm, n: int):
-    """Evaluate sum_k terms[k] * U(n-k) at a concrete index n."""
-    return sum(c * eval_term(form.spec, n - k) for k, c in form.terms.items())
-
-
-def validate_form(form: LinearForm, test_indices) -> bool:
-    """True iff the form reproduces U(n) at every given concrete index.
-
-    Indices whose shifted terms fall outside the evaluable range raise
-    (NonInvertibleStepError when backward extension is not permitted).
-    """
-    return all(form_value_at(form, n) == eval_term(form.spec, n) for n in test_indices)

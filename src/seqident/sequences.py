@@ -242,15 +242,3 @@ def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
 def eval_term(spec: SequenceSpec, n: int):
     """Value of the sequence at index n, by the jump of eval_range."""
     return eval_range(spec, n, n)[0]
-
-
-def extend_backward(spec: SequenceSpec, n: int):
-    """Value at an index below the seed range: eval_range's jump through
-    x**-1, O(d**2 log(seed_start - n)) products.  Raises
-    NonInvertibleStepError if |cd| != 1 in integer mode; in rational mode
-    the value is an int when integral and a Fraction otherwise."""
-    if n >= spec.seed_start:
-        raise ValueError(
-            f"index {n} is not below the seed range (starts at {spec.seed_start})"
-        )
-    return eval_term(spec, n)

@@ -30,11 +30,13 @@ takes the same product and keeps its top rows, which costs about as much as
 2..hi.  Where fewer than _SPLIT_COST band pairs fall to each packed
 coefficient (a band a few rows wide, such as one row, or a small scan) the
 rows are summed directly instead (_rows).  No packed operand is longer than
-twice the digits of the entries it packs, so the transient memory stays a
-fixed multiple of the input tables.  A scan over that cap is summed row by
-row as well.  Uneven inputs give it: a few entries far longer than the rest,
-Fractions with a large common denominator, or entries of a digit or two,
-whose slots must still hold sums of hundreds of pairs.
+twice the digits of the entries it packs, with each entry allowed the
+digits of the pair count as well (a slot holds a sum of that many pairs),
+so the transient memory stays a fixed multiple of the input tables plus a
+few digits an entry, and entries of a digit or two still take one product.
+A scan over that cap is summed row by row as well.  Uneven inputs give it:
+a few entries far longer than the rest, or Fractions with a large common
+denominator.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ from math import lcm
 from operator import add, mul
 
 from .sequences import FIBONACCI, LUCAS, CheckedRecord, eval_range
-
-TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .expansion import CollectedWeights  # an annotation only
 
 
 class Failure(namedtuple("Failure", "n lhs rhs")):
@@ -132,17 +130,25 @@ def _digits(xs: list) -> int:
 def _product(a: list, b: list, t0: int, t1: int) -> list | None:
     """Coefficients t0..t1 of the polynomial product a*b from one Kronecker
     product, or None when a packed operand would be longer than twice the
-    digits of a and b together."""
+    digits of a and b together, counting for each entry the digits of the
+    pair count as well."""
     # A digit slot need only hold coefficients up to t1, so its width is set
     # by the largest pair on those rows: wa[i] + wb[t1-i], with wa and wb the
     # running maxima of bit lengths.
     (na, da), (nb, db) = _integers(a), _integers(b)
     wa = list(accumulate((x.bit_length() for x in na), max))
     wb = list(accumulate((x.bit_length() for x in nb), max))
+    pairs = min(len(na), len(nb))  # the most pairs on one row
     bits = (max(wa[i] + wb[min(t1 - i, len(nb) - 1)] for i in range(len(na)))
-            + min(len(na), len(nb)).bit_length() + 1)
+            + pairs.bit_length() + 1)
     width = bits * 30103 // 100000 + 1  # 10**width > 2**bits > 2*|coefficient|
-    if max(len(na), len(nb)) * width > 2 * (_digits(a) + _digits(b)):
+    # A slot holds a sum of up to `pairs` pairs, so each entry is allowed the
+    # digits of that count and a sign's besides its own.  The operands, and
+    # the product of about their summed length, stay a fixed multiple of the
+    # input tables plus a few digits an entry (entries in -2..2 at 2..2000:
+    # two 10,000-digit operands).
+    slack = (len(na) + len(nb)) * (len(str(pairs)) + 1)
+    if max(len(na), len(nb)) * width > 2 * (_digits(a) + _digits(b) + slack):
         return None
     product = _CONTEXT.multiply(_pack(na, width), _pack(nb, width))
     # The product is sum(c[t] * 10**(width*t)), and |c[t]| < 10**width/2 for
@@ -271,11 +277,6 @@ def scan_report(lo: int, hi: int, rows, t0: float) -> IdentityReport:
     return IdentityReport(lo, hi, failure is None, failure, time.perf_counter() - t0)
 
 
-def check_identity(n: int) -> IdentityReport:
-    """Check both forms of the identity at a single index (see identity_rows)."""
-    return check_range(n, n)
-
-
 def check_range(lo: int, hi: int) -> IdentityReport:
     """Check the identity for every n in lo..hi; report the least failure."""
     require_range(lo, hi)
@@ -318,8 +319,3 @@ def reindex_equal(m: int) -> bool:
     left = sum(lucs[k] * fibs[m + 1 - k] for k in range(2, m + 1))
     right = sum(lucs[j + 1] * fibs[m - j] for j in range(1, m))
     return left == right
-
-
-def weights_are_lucas(w: CollectedWeights) -> bool:
-    """True iff the collected weights equal L(1)..L(n-1)."""
-    return list(w.weights) == eval_range(LUCAS, 0, len(w.weights))[1:]

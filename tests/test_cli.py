@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -421,6 +422,18 @@ def test_spec_file_over_the_size_cap_exits_two(tmp_path, capsys):
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"seqident: error: spec file '/dev/zero' is larger than "
                                f"{cli.MAX_SPEC_BYTES} bytes\n")
+
+
+def test_spec_with_a_huge_literal_exits_two_before_converting_it(tmp_path, capsys):
+    # Under the size cap, but int() of its 10**6 digits takes about 6 s.
+    path = tmp_path / "literal.seq"
+    path.write_text(f"seq B: B(n)={'7' * 10 ** 6}*B(n-1); B(0)=1\n", encoding="utf-8")
+    assert path.stat().st_size == 1_000_028
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--spec", str(path), "--n", "0", "--quiet")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"seqident: error: {path}:1:13: coefficient has more than 4300 digits\n"
 
 
 def test_eval_custom_spec_matches_library(tmp_path, capsys):

@@ -120,6 +120,9 @@ BAD_CASES = [
     ("seq F: F(n)=F(m-1); F(1)=1", 1, 15, "term index must be"),
     ("seq F: F(n)=F(n-1)+F(n-2); F(1)=1; F(2)=1 %", 1, 43, "unexpected character"),
     ("", 1, 1, "end of input"),
+    # A literal is bounded before int() turns its text into a number.
+    pytest.param("seq B: B(n)=" + "7" * 5000 + "*B(n-1); B(0)=1", 1, 13,
+                 "coefficient has more than 4300 digits", id="5000-digit coefficient"),
 ]
 
 

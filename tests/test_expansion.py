@@ -9,15 +9,7 @@ import random
 
 import pytest
 
-from seqident.expansion import (
-    LinearForm,
-    expansion,
-    form_value_at,
-    initial_form,
-    substitute_min_shift,
-    sum_expansions,
-    validate_form,
-)
+from seqident.expansion import LinearForm, expansion, initial_form, sum_expansions
 from seqident.sequences import FIBONACCI, LUCAS, TRIBONACCI, SequenceSpec, eval_term
 
 
@@ -41,6 +33,16 @@ def oracle_expand(coeffs, depth):
             merged[k] = merged.get(k, 0) + c
         pairs = [(k, c) for k, c in merged.items() if c != 0]
     return dict(sorted(pairs))
+
+
+def form_value_at(form, n):
+    """sum_k terms[k] * U(n-k) at a concrete index n."""
+    return sum(c * eval_term(form.spec, n - k) for k, c in form.terms.items())
+
+
+def validate_form(form, indices):
+    """True iff the form reproduces U(n) at every given index."""
+    return all(form_value_at(form, n) == eval_term(form.spec, n) for n in indices)
 
 
 def test_initial_form():
@@ -80,10 +82,8 @@ def test_expansion_depth_validation():
 
 
 def test_substitute_preserves_value():
-    form = initial_form(FIBONACCI)
-    for _ in range(10):
-        form = substitute_min_shift(form)
-        assert validate_form(form, range(12, 30))
+    for depth in range(1, 12):
+        assert validate_form(expansion(FIBONACCI, depth), range(12, 30))
 
 
 def test_substitute_preserves_value_generic():
@@ -99,15 +99,10 @@ def test_substitute_preserves_value_generic():
         assert form_value_at(form, n) == eval_term(spec, n)
 
 
-def test_substitute_empty_form_raises():
-    with pytest.raises(ValueError):
-        substitute_min_shift(LinearForm(FIBONACCI, {}))
-
-
 def test_linear_form_prunes_zeros_and_sorts():
     form = LinearForm(FIBONACCI, {5: 0, 2: 3, 9: 1})
     assert form.terms == {2: 3, 9: 1}
-    assert form.min_shift == 2 and form.max_shift == 9
+    assert list(form.terms) == [2, 9]
 
 
 def test_collect_smallest_targets():

@@ -227,28 +227,29 @@ def test_convolution_values_packs_no_operand_over_twice_its_input(monkeypatch):
     def digits(xs):
         return sum(len(str(abs(x))) for x in xs)
 
-    # Lucas by Fibonacci and a fast-growing signed pair pack into one product
-    # each, under the cap.  In the uneven scan one weight of 3001 digits
-    # outweighs all the other entries (1 to 3 digits) together, so every slot
-    # would take 3004 digits: even with every scan worth a product
-    # (_SPLIT_COST 1), the cap sends it to the row sums.  The cap does the
-    # same to entries in -2..2, as the bounded-value specs of conjecture give:
-    # their one digit each is less than half a slot wide enough for a sum of
-    # 600 pairs.
+    # The input counts each entry's digits and, for each entry, the digits of
+    # the pair count (a slot must hold a sum of that many pairs) and a sign.
+    # Lucas by Fibonacci, a fast-growing signed pair and entries in -2..2, as
+    # the bounded-value specs of conjecture give, pack into one product each,
+    # under the cap.  In the uneven scan one weight of 3001 digits outweighs
+    # all the other entries (1 to 3 digits) together, so every slot would take
+    # 3004 digits: even with every scan worth a product (_SPLIT_COST 1), the
+    # cap sends it to the row sums.
     uneven = ([0, 10 ** 3000] + list(range(2, 301)), list(range(301)))
     rng = random.Random(5)
     bounded = ([rng.randint(-2, 2) for _ in range(601)], [rng.randint(-2, 2) for _ in range(601)])
     cases = [(*lucas_fibonacci(2400), 2400, verify._SPLIT_COST, 1),
              (*power_sums_and_terms(600), 600, verify._SPLIT_COST, 1),
              (*uneven, 300, 1, 0),
-             (*bounded, 600, verify._SPLIT_COST, 0)]
+             (*bounded, 600, verify._SPLIT_COST, 1)]
     for weights, values, hi, split_cost, products in cases:
         recorder = RecordingContext(verify._CONTEXT)
         monkeypatch.setattr(verify, "_CONTEXT", recorder)
         monkeypatch.setattr(verify, "_SPLIT_COST", split_cost)
         got = convolution_values(weights, values, 2, hi)
         monkeypatch.undo()
-        cap = 2 * (digits(weights[1:hi]) + digits(values[1:hi]))
+        slack = 2 * (hi - 1) * (len(str(hi - 1)) + 1)
+        cap = 2 * (digits(weights[1:hi]) + digits(values[1:hi]) + slack)
         assert len(recorder.operands) == 2 * products, (hi, recorder.operands)
         assert max(recorder.operands, default=0) <= cap, (hi, recorder.operands, cap)
         lo = hi - 4 if products else 2  # every row of the row sums

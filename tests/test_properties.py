@@ -10,9 +10,9 @@ in -3..3; the evaluation properties and the conjecture pipeline also take
 order 5, trailing coefficients +-2 and +-3 and rational mode.  Examples are
 derandomized so every run checks the same cases.
 
-The CLI's expand and eval output is also checked against the benchmark's
-independent oracle, seqbench/oracle.py, on specs of order 1-6 written to a
-file in the DSL.
+The CLI's expand, eval and collect output is also checked against the
+benchmark's independent oracle, seqbench/oracle.py, on specs of order 1-6
+written to a file in the DSL.
 """
 
 import contextlib
@@ -324,11 +324,12 @@ FORMATS = st.sampled_from(("plain", "json", "csv"))
 
 @SETTINGS
 @given(spec=dsl_specs(), depth=st.integers(1, 40), start=st.integers(-30, 60),
-       width=st.integers(0, 40), formats=st.tuples(FORMATS, FORMATS))
+       width=st.integers(0, 40), n=st.integers(2, 40),
+       formats=st.tuples(FORMATS, FORMATS, FORMATS))
 def test_expand_and_eval_pass_the_benchmark_oracle(oracle, spec_path, spec, depth, start,
-                                                  width, formats):
+                                                  width, n, formats):
     # format_spec writes the spec file and expand's plain line comes from the
-    # same term renderer; the oracle judges both outputs with its own arithmetic.
+    # same term renderer; the oracle judges every output with its own arithmetic.
     spec_path.write_text(format_spec(spec) + "\n", encoding="utf-8")
     want = oracle.Spec(spec.name, spec.coeffs, spec.seeds, spec.seed_start)
     lo = spec.seed_start + start
@@ -337,8 +338,10 @@ def test_expand_and_eval_pass_the_benchmark_oracle(oracle, spec_path, spec, dept
     hi = lo + width
     expand = {"kind": "expand", "spec": want, "depth": depth, "fmt": formats[0]}
     evaluate = {"kind": "eval", "spec": want, "lo": lo, "hi": hi, "fmt": formats[1]}
+    collect = {"kind": "collect", "spec": want, "n": n, "fmt": formats[2]}
     for argv, exp in [(["expand", f"--depth={depth}"], expand),
-                      (["eval", f"--range={lo}..{hi}"], evaluate)]:
+                      (["eval", f"--range={lo}..{hi}"], evaluate),
+                      (["collect", f"--n={n}"], collect)]:
         argv += ["--spec", str(spec_path), "--format", exp["fmt"]]
         verdict = oracle.check(oracle.prepare(exp), *run_cli(argv))
         assert verdict.status == "pass", (argv, format_spec(spec), verdict.reason)

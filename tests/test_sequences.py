@@ -13,7 +13,6 @@ from seqident.sequences import (
     SequenceSpec,
     eval_range,
     eval_term,
-    extend_backward,
     fib,
     lucas,
 )
@@ -129,17 +128,13 @@ def test_tribonacci_values():
 
 
 def test_extend_backward_fibonacci():
-    assert extend_backward(FIBONACCI, 0) == 0
-    assert extend_backward(FIBONACCI, -1) == 1
-    assert extend_backward(FIBONACCI, -2) == -1
-    with pytest.raises(ValueError):
-        extend_backward(FIBONACCI, 1)  # not below the seed range
+    assert [eval_term(FIBONACCI, n) for n in (0, -1, -2)] == [0, 1, -1]
 
 
 def test_backward_requires_unit_trailing_coefficient():
     spec = SequenceSpec("A", (1, 2), (1, 1), seed_start=0)
     with pytest.raises(NonInvertibleStepError):
-        extend_backward(spec, -1)
+        eval_term(spec, -1)
     with pytest.raises(NonInvertibleStepError):
         eval_range(spec, -2, 3)
 
@@ -147,10 +142,10 @@ def test_backward_requires_unit_trailing_coefficient():
 def test_backward_rational_mode():
     spec = SequenceSpec("A", (1, 2), (1, 1), seed_start=0, rational=True)
     # A(-1) = (A(1) - A(0))/2 = 0, A(-2) = (A(0) - A(-1))/2 = 1/2
-    assert extend_backward(spec, -1) == 0
-    assert extend_backward(spec, -2) == Fraction(1, 2)
+    assert eval_term(spec, -1) == 0
+    assert eval_term(spec, -2) == Fraction(1, 2)
     # integral results come back as plain ints
-    assert isinstance(extend_backward(spec, -1), int)
+    assert isinstance(eval_term(spec, -1), int)
 
 
 def test_backward_then_forward_roundtrip():

@@ -3,17 +3,15 @@
 import pytest
 
 from seqident import verify
-from seqident.expansion import CollectedWeights, sum_expansions
-from seqident.sequences import FIBONACCI, SequenceSpec
+from seqident.expansion import sum_expansions
+from seqident.sequences import FIBONACCI, LUCAS, SequenceSpec, eval_range
 from seqident.verify import (
     Failure,
     IdentityReport,
-    check_identity,
     check_range,
     convolution_sum,
     inductive_step_check,
     reindex_equal,
-    weights_are_lucas,
 )
 
 
@@ -51,7 +49,7 @@ def test_convolution_sum_domain():
 
 def test_check_identity_single_indices():
     for n in range(2, 60):
-        report = check_identity(n)
+        report = check_range(n, n)
         assert report.passed and report.first_failure is None
         assert report.lo == report.hi == n
 
@@ -121,6 +119,4 @@ def test_reindex_domain():
 
 
 def test_weights_are_lucas():
-    assert weights_are_lucas(sum_expansions(FIBONACCI, 30))
-    fake = CollectedWeights(4, (1, 3, 5), {})
-    assert not weights_are_lucas(fake)
+    assert list(sum_expansions(FIBONACCI, 30).weights) == eval_range(LUCAS, 1, 29)
