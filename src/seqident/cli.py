@@ -21,8 +21,8 @@ alone, is checked against it.
 Each subcommand loads only the modules it runs: every one loads
 sequences; expand and collect add expansion; verify adds verify, which
 holds the scan and loads fractions and decimal, and conjecture adds
-verify and conjecture, not expansion.  A --spec file adds dsl, and json and
-csv load only for their --format.  No command loads concurrent.futures or
+verify and conjecture, not expansion.  A --spec file adds dsl, and json
+loads only for --format json.  No command loads csv, concurrent.futures or
 dataclasses, and eval, expand and collect never load fractions: the specs
 the CLI reads are integer-mode.
 
@@ -40,7 +40,7 @@ import re
 import sys
 
 # Every command evaluates sequences.  Each other module is imported by the
-# function that runs it (dsl, expansion, verify, conjecture, json and csv),
+# function that runs it (dsl, expansion, verify, conjecture and json),
 # so a process loads only what its subcommand runs; without a bytecode
 # cache, every module loaded is compiled on every start.
 from .sequences import BUILTIN_SPECS, SequenceSpec, eval_range, format_terms
@@ -175,21 +175,19 @@ def _emit(args, params: dict, status: int, plain_lines, results,
     "results", "status"}, in that order."""
     if args.quiet:
         return
-    if args.format == "plain":
-        for line in plain_lines():
-            print(line)
-    elif args.format == "json":
+    if args.format == "json":
         import json
 
         record = {"command": args.command, "params": params, "results": results(),
                   "status": status}
         print(json.dumps(record, indent=2))
-    else:
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows())
+        return
+    # Every CSV field is an int, a number's text, a fixed word or numbers
+    # joined by spaces: none needs csv.writer's quoting.
+    lines = (plain_lines() if args.format == "plain"
+             else (",".join(map(str, row)) for row in [csv_header, *csv_rows()]))
+    for line in lines:
+        print(line)
 
 
 # `jobs` is unused; the benchmark's tracer wraps this name, which goes with ROADMAP item 1.

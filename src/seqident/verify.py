@@ -164,7 +164,7 @@ def _product(a: list, b: list, t0: int, t1: int) -> list | None:
     negative = digits[0] == "-"
     digits = digits.lstrip("-").zfill(top - skip)
     ends = range(top - t0 * width, 0, -width)  # slot t ends at top - t*width
-    c = _ints([digits[e - width:e] for e in ends])
+    c = _convert(int, [digits[e - width:e] for e in ends])
     base = 10 ** width
     for i, e in enumerate(ends):
         if digits[e - width] >= "5":
@@ -190,7 +190,7 @@ def _integers(xs: list) -> tuple[list, int | None]:
 
 def _pack(xs: list, width: int) -> decimal.Decimal:
     """sum(xs[i] * 10**(width*i)) as one Decimal; every |xs[i]| < 10**width."""
-    texts = _texts(xs[::-1])
+    texts = _convert(str, xs[::-1])
     if min(xs) >= 0:
         return _CONTEXT.create_decimal("".join([s.zfill(width) for s in texts]))
     zero = "0" * width
@@ -199,21 +199,14 @@ def _pack(xs: list, width: int) -> decimal.Decimal:
         _CONTEXT.create_decimal("".join([s[1:].zfill(width) if s[0] == "-" else zero for s in texts])))
 
 
-def _texts(xs) -> list:
-    """The decimal digits of ints.  str() is the faster below the
-    interpreter's int/str digit limit; Decimal has no such limit."""
+def _convert(f, xs) -> list:
+    """[f(x) for x in xs], for f str (ints to decimal digits) or int (back).
+    f itself is the faster below the interpreter's int/str digit limit;
+    Decimal has no such limit."""
     try:
-        return list(map(str, xs))
+        return list(map(f, xs))
     except ValueError:
-        return [str(decimal.Decimal(x)) for x in xs]
-
-
-def _ints(texts: list) -> list:
-    """The ints that decimal digit strings spell (see _texts)."""
-    try:
-        return list(map(int, texts))
-    except ValueError:
-        return [int(decimal.Decimal(s)) for s in texts]
+        return [f(decimal.Decimal(x)) for x in xs]
 
 
 def _rows(a: list, b: list, t0: int, t1: int) -> list:

@@ -59,16 +59,38 @@ def test_a_bare_import_loads_no_submodule():
     assert out == "[]\n"
 
 
+def read_readme() -> str:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_the_readme_quick_start_runs():
     # `python -m doctest README.md` would read each closing fence as
     # expected output, so only the ```python blocks are run.
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", read_readme(), re.M | re.S)
     test = doctest.DocTestParser().get_doctest("".join(blocks), {}, "README.md", None, 0)
     out = io.StringIO()
     result = doctest.DocTestRunner().run(test, out=out.write)
     assert result.attempted > 0 and result.failed == 0, out.getvalue()
+
+
+def test_the_readme_cli_examples_print_what_it_shows(capsys):
+    # Each `$ seqident ...` line is followed by its output, up to a blank
+    # line or the closing fence; an output with a "..." line shows only its
+    # first and last lines.
+    from seqident.cli import main
+
+    examples = re.findall(r"^\$ seqident (.*)\n((?:(?!```).+\n)*)", read_readme(), re.M)
+    assert [command.split()[0] for command, _ in examples] == ["verify", "collect",
+                                                               "conjecture"]
+    for command, shown in examples:
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        if "...\n" in shown:
+            lines = out.splitlines()
+            out = f"{lines[0]}\n...\n{lines[-1]}\n"
+        assert out == shown, command
 
 
 def load_tracing():

@@ -10,9 +10,12 @@ in -3..3; the evaluation properties and the conjecture pipeline also take
 order 5, trailing coefficients +-2 and +-3 and rational mode.  Examples are
 derandomized so every run checks the same cases.
 
-The CLI's expand, eval and collect output is also checked against the
-benchmark's independent oracle, seqbench/oracle.py, on specs of order 1-6
-written to a file in the DSL.
+The output of every CLI subcommand, in a drawn format, is also checked
+against the benchmark's independent oracle, seqbench/oracle.py: expand,
+eval, collect and conjecture on specs of order 1-6 written to a file in the
+DSL, and verify on 2..H.  A run either passes the oracle or, where a
+conjecture needs values below the seeds of a spec whose trailing
+coefficient is not a unit, exits 2 with one error line and no stdout.
 """
 
 import contextlib
@@ -324,10 +327,12 @@ FORMATS = st.sampled_from(("plain", "json", "csv"))
 
 @SETTINGS
 @given(spec=dsl_specs(), depth=st.integers(1, 40), start=st.integers(-30, 60),
-       width=st.integers(0, 40), n=st.integers(2, 40),
-       formats=st.tuples(FORMATS, FORMATS, FORMATS))
-def test_expand_and_eval_pass_the_benchmark_oracle(oracle, spec_path, spec, depth, start,
-                                                  width, n, formats):
+       width=st.integers(0, 40), n=st.integers(2, 40), hi=st.integers(2, 60),
+       inductive=st.booleans(), max_order=st.integers(1, 4), extra=st.integers(2, 6),
+       formats=st.tuples(FORMATS, FORMATS, FORMATS, FORMATS, FORMATS))
+def test_every_subcommand_passes_the_benchmark_oracle(oracle, spec_path, spec, depth, start,
+                                                      width, n, hi, inductive, max_order,
+                                                      extra, formats):
     # format_spec writes the spec file and expand's plain line comes from the
     # same term renderer; the oracle judges every output with its own arithmetic.
     spec_path.write_text(format_spec(spec) + "\n", encoding="utf-8")
@@ -335,13 +340,30 @@ def test_expand_and_eval_pass_the_benchmark_oracle(oracle, spec_path, spec, dept
     lo = spec.seed_start + start
     if not spec.invertible():  # below the seeds it exits 2: NonInvertibleStepError
         lo = max(lo, spec.seed_start)
-    hi = lo + width
-    expand = {"kind": "expand", "spec": want, "depth": depth, "fmt": formats[0]}
-    evaluate = {"kind": "eval", "spec": want, "lo": lo, "hi": hi, "fmt": formats[1]}
-    collect = {"kind": "collect", "spec": want, "n": n, "fmt": formats[2]}
-    for argv, exp in [(["expand", f"--depth={depth}"], expand),
-                      (["eval", f"--range={lo}..{hi}"], evaluate),
-                      (["collect", f"--n={n}"], collect)]:
-        argv += ["--spec", str(spec_path), "--format", exp["fmt"]]
-        verdict = oracle.check(oracle.prepare(exp), *run_cli(argv))
+    probe_n = 2 * max_order + extra
+    spec_argv = ["--spec", str(spec_path)]
+    # (argv, expectation, whether exit 2 is allowed): conjecture evaluates
+    # U(min(1, 2-d)) and up, below the seeds for some specs.
+    commands = [
+        (["expand", f"--depth={depth}", *spec_argv],
+         {"kind": "expand", "spec": want, "depth": depth}, False),
+        (["eval", f"--range={lo}..{lo + width}", *spec_argv],
+         {"kind": "eval", "spec": want, "lo": lo, "hi": lo + width}, False),
+        (["collect", f"--n={n}", *spec_argv], {"kind": "collect", "spec": want, "n": n}, False),
+        (["verify", f"--range=2..{hi}", *(["--inductive"] if inductive else [])],
+         {"kind": "verify", "lo": 2, "hi": hi, "inductive": inductive}, False),
+        (["conjecture", *spec_argv, "--probe-n", str(probe_n), "--verify-to", str(hi),
+          "--max-order", str(max_order)],
+         {"kind": "conjecture", "spec": want, "verify_to": hi},
+         not spec.invertible() and min(1, 2 - spec.order) < spec.seed_start),
+    ]
+    for (argv, exp, may_exit_2), fmt in zip(commands, formats):
+        argv += ["--format", fmt]
+        code, out, err = run_cli(argv)
+        if code == 2:
+            assert may_exit_2, (argv, format_spec(spec), err)
+            assert out == b"" and err.startswith(b"seqident: error: "), argv
+            assert err.count(b"\n") == 1 and err.endswith(b"\n"), argv
+            continue
+        verdict = oracle.check(oracle.prepare({**exp, "fmt": fmt}), code, out, err)
         assert verdict.status == "pass", (argv, format_spec(spec), verdict.reason)

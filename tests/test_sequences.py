@@ -86,14 +86,18 @@ def test_spec_properties():
     assert SequenceSpec("A", (1, 2), (1, 1), rational=True).invertible()
 
 
-def test_eval_range_matches_fast_doubling():
-    assert eval_range(FIBONACCI, 0, 30) == [fib(n) for n in range(31)]
-    assert eval_range(LUCAS, 0, 30) == [lucas(n) for n in range(31)]
+def test_eval_range_matches_iteration():
+    assert eval_range(FIBONACCI, 0, 30) == [iter_fib(n) for n in range(31)]
+    assert eval_range(LUCAS, 0, 30) == [iter_lucas(n) for n in range(31)]
 
 
 def test_eval_range_jumps_far_from_the_seeds():
-    assert eval_range(FIBONACCI, 10**6, 10**6)[0] == fib(10**6)
-    assert eval_range(FIBONACCI, 5000, 5003) == [fib(n) for n in range(5000, 5004)]
+    # F(2k) = F(k)*(2*F(k+1) - F(k)) and F(2k+1) = F(k)**2 + F(k+1)**2 tie the
+    # jump to 10**6 to the jump to k = 5*10**5.
+    k = 5 * 10**5
+    a, b = eval_range(FIBONACCI, k, k + 1)
+    assert eval_range(FIBONACCI, 2 * k, 2 * k + 1) == [a * (2 * b - a), a * a + b * b]
+    assert eval_range(FIBONACCI, 5000, 5003) == [iter_fib(n) for n in range(5000, 5004)]
     # L(-n) = (-1)^n * L(n)
     assert eval_range(LUCAS, -100000, -99997) == [
         (-1) ** n * lucas(n) for n in range(100000, 99996, -1)]
