@@ -225,9 +225,3 @@ def lucas(n: int) -> int:
         raise ValueError(f"lucas index must be >= 0, got {n}")
     return eval_term(LUCAS, n)
 
-
-# Kept only because the benchmark's tracer reads it through
-# _backend.kernels with no default, like conjecture._solve_exact, until
-# ROADMAP item 1.
-def fib_pair(n: int) -> tuple[int, int]:
-    return tuple(eval_range(FIBONACCI, n, n + 1))

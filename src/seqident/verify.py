@@ -15,14 +15,18 @@ a context that traps every rounding.
 
 The convolution scan sums the pairs weights[k]*values[j] over the band
 {k, j >= 1, lo <= k+j <= hi} by Kronecker substitution.  Each side is
-packed into one integer whose base-10**D digits are its coefficients, the
-two are multiplied once, and the product's digits, read back as balanced
-digits with a carry, are the sums, negative ones too.  D bounds twice the
-largest sum on the rows wanted, so no digit overflows into the next.  The
-multiplication is the decimal module's (libmpdec), which multiplies large
-operands by a number-theoretic transform in about n log n time, where
-CPython's ints use Karatsuba.  Fractions are scaled by their common
-denominator into the same integer product.
+turned into decimal text once (Fractions first scaled by their common
+denominator to ints) and packed into one integer whose base-10**D digits
+are its coefficients; the two are multiplied once, and the product's
+digits, read back as balanced digits with a carry, are the sums, negative
+ones too.  D comes from the texts: |x| < 10**len(str(x)), so a slot the
+longest pair of texts on the rows wanted, plus the digits of the pair
+count, plus one, is over twice the largest sum, and no digit overflows
+into the next.  The multiplication is the decimal module's (libmpdec),
+which multiplies large operands by a number-theoretic transform in about
+n log n time, where CPython's ints use Karatsuba.  The transform has 2**k
+or 3*2**(k-1) words of 19 digits, the least that holds the product, so its
+time steps up by half or more where a product passes one of those lengths.
 
 One product gives every row of 2..N at once (2..2400: 1.2M-digit operands,
 where the scan reads 1.2M digits of weights and values).  A band lo..hi
@@ -30,13 +34,12 @@ takes the same product and keeps its top rows, which costs about as much as
 2..hi.  Where fewer than _SPLIT_COST band pairs fall to each packed
 coefficient (a band a few rows wide, such as one row, or a small scan) the
 rows are summed directly instead (_rows).  No packed operand is longer than
-twice the digits of the entries it packs, with each entry allowed the
-digits of the pair count as well (a slot holds a sum of that many pairs),
-so the transient memory stays a fixed multiple of the input tables plus a
-few digits an entry, and entries of a digit or two still take one product.
-A scan over that cap is summed row by row as well.  Uneven inputs give it:
-a few entries far longer than the rest, or Fractions with a large common
-denominator.
+twice the texts of the entries it packs, with each entry allowed the
+digits of the pair count and a sign as well (a slot holds a sum of that
+many pairs), so the transient memory stays a fixed multiple of those texts
+plus a few digits an entry, and entries of a digit or two still take one
+product.  A scan over that cap is summed row by row as well.  Uneven
+inputs give it: a few entries far longer than the rest.
 """
 
 from __future__ import annotations
@@ -118,39 +121,31 @@ def convolution_values(weights: list, values: list, lo: int, hi: int) -> list:
     return [0] * (first - lo) + c
 
 
-def _digits(xs: list) -> int:
-    """At most the decimal digits of ints, or of Fractions' numerators and
-    denominators: an n of b >= 1 bits is at least 2**(b-1), so it has at
-    least floor((b-1)*log10(2)) + 1 digits."""
-    if not all(isinstance(x, int) for x in xs):
-        xs = [n for x in xs for n in (x.numerator, x.denominator)]
-    return sum((n.bit_length() - 1) * 30102 // 100000 + 1 for n in xs)
-
-
 def _product(a: list, b: list, t0: int, t1: int) -> list | None:
     """Coefficients t0..t1 of the polynomial product a*b from one Kronecker
     product, or None when a packed operand would be longer than twice the
-    digits of a and b together, counting for each entry the digits of the
-    pair count as well."""
-    # A digit slot need only hold coefficients up to t1, so its width is set
-    # by the largest pair on those rows: wa[i] + wb[t1-i], with wa and wb the
-    # running maxima of bit lengths.
+    texts of a and b together, counting for each entry the digits of the
+    pair count and a sign as well."""
     (na, da), (nb, db) = _integers(a), _integers(b)
-    wa = list(accumulate((x.bit_length() for x in na), max))
-    wb = list(accumulate((x.bit_length() for x in nb), max))
-    pairs = min(len(na), len(nb))  # the most pairs on one row
-    bits = (max(wa[i] + wb[min(t1 - i, len(nb) - 1)] for i in range(len(na)))
-            + pairs.bit_length() + 1)
-    width = bits * 30103 // 100000 + 1  # 10**width > 2**bits > 2*|coefficient|
-    # A slot holds a sum of up to `pairs` pairs, so each entry is allowed the
-    # digits of that count and a sign's besides its own.  The operands, and
-    # the product of about their summed length, stay a fixed multiple of the
-    # input tables plus a few digits an entry (entries in -2..2 at 2..2000:
-    # two 10,000-digit operands).
-    slack = (len(na) + len(nb)) * (len(str(pairs)) + 1)
-    if max(len(na), len(nb)) * width > 2 * (_digits(a) + _digits(b) + slack):
+    sa, sb = _convert(str, na), _convert(str, nb)
+    # |x| < 10**len(str(x)), so with la and lb the running maxima of the
+    # texts' lengths, a pair on rows up to t1 is below 10**(la[i] + lb[t1-i]),
+    # and a slot holds a sum of fewer than 10**count of them: 10**width is
+    # over twice every coefficient a slot must hold.
+    la, lb = list(accumulate(map(len, sa), max)), list(accumulate(map(len, sb), max))
+    count = len(str(min(len(sa), len(sb))))  # digits of the most pairs on one row
+    width = max(la[i] + lb[min(t1 - i, len(lb) - 1)] for i in range(len(la))) + count + 1
+    # Each entry is allowed count digits and a sign's besides its own text,
+    # so the operands, and the product of about their summed length, stay a
+    # fixed multiple of the texts plus a few digits an entry (entries in
+    # -2..2 at 2..2000: two 17,982-digit operands).
+    allowed = sum(map(len, sa)) + sum(map(len, sb)) + (len(sa) + len(sb)) * (count + 1)
+    if max(len(sa), len(sb)) * width > 2 * allowed:
         return None
-    product = _CONTEXT.multiply(_pack(na, width), _pack(nb, width))
+    # The transform's steps (module docstring) fall at operands of 622,592,
+    # 933,888 and 1,245,184 digits (products of 2**16, 3*2**15 and 2**17
+    # words); a slot one digit wider lengthens an operand by its entry count.
+    product = _CONTEXT.multiply(_pack(sa, width), _pack(sb, width))
     # The product is sum(c[t] * 10**(width*t)), and |c[t]| < 10**width/2 for
     # t <= t1.  Its low digits, read as balanced digits, give those: slot t
     # is its plain digits, less 10**width when they start at 5 or above, plus
@@ -188,10 +183,11 @@ def _integers(xs: list) -> tuple[list, int | None]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _pack(xs: list, width: int) -> decimal.Decimal:
-    """sum(xs[i] * 10**(width*i)) as one Decimal; every |xs[i]| < 10**width."""
-    texts = _convert(str, xs[::-1])
-    if min(xs) >= 0:
+def _pack(texts: list, width: int) -> decimal.Decimal:
+    """sum(int(texts[i]) * 10**(width*i)) as one Decimal; no text is longer
+    than width."""
+    texts = texts[::-1]
+    if min(texts)[0] != "-":  # "-" sorts before every digit
         return _CONTEXT.create_decimal("".join([s.zfill(width) for s in texts]))
     zero = "0" * width
     return _CONTEXT.subtract(

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqident import verify
-from seqident.verify import convolution_values, dot_product
+from seqident.conjecture import conjecture
+from seqident.sequences import TRIBONACCI
+from seqident.verify import check_range, convolution_values, dot_product
 
 
 def naive_dot(xs, ys):
@@ -254,3 +256,23 @@ def test_convolution_values_packs_no_operand_over_twice_its_input(monkeypatch):
         assert max(recorder.operands, default=0) <= cap, (hi, recorder.operands, cap)
         lo = hi - 4 if products else 2  # every row of the row sums
         assert got[lo - 2:] == naive_convolution(weights, values, lo, hi)
+
+
+def test_the_benchmarks_largest_scans_stay_under_a_transform_step(monkeypatch):
+    # libmpdec multiplies by a transform of 2**k or 3*2**(k-1) words of 19
+    # digits, the least that holds the product, and takes half as long again
+    # or more past a step: operands of 1,245,184 digits make a product of
+    # over 2**17 words, of 622,592 over 2**16.  The benchmark's largest
+    # verify scan (2..2400, 1,218,686-digit operands) and conjecture scan
+    # (trib to 1500, 604,091) sit 2.1% and 3.0% under these, so slots a few
+    # percent wider would make their products half as slow again.
+    cases = [(lambda: check_range(2, 2400).passed, 1_245_184),
+             (lambda: conjecture(TRIBONACCI, 39, 1500, max_order=16).status == "verified",
+              622_592)]
+    for run, step in cases:
+        recorder = RecordingContext(verify._CONTEXT)
+        monkeypatch.setattr(verify, "_CONTEXT", recorder)
+        ok = run()
+        monkeypatch.undo()
+        assert ok
+        assert len(recorder.operands) == 2 and max(recorder.operands) < step, recorder.operands

@@ -328,7 +328,7 @@ FORMATS = st.sampled_from(("plain", "json", "csv"))
 @SETTINGS
 @given(spec=dsl_specs(), depth=st.integers(1, 40), start=st.integers(-30, 60),
        width=st.integers(0, 40), n=st.integers(2, 40), hi=st.integers(2, 60),
-       inductive=st.booleans(), max_order=st.integers(1, 4), extra=st.integers(2, 6),
+       inductive=st.booleans(), max_order=st.integers(1, 6), extra=st.integers(2, 6),
        formats=st.tuples(FORMATS, FORMATS, FORMATS, FORMATS, FORMATS))
 def test_every_subcommand_passes_the_benchmark_oracle(oracle, spec_path, spec, depth, start,
                                                       width, n, hi, inductive, max_order,
