@@ -34,7 +34,6 @@ _EXPORTS = {
     "eval_range": "sequences",
     "LinearForm": "expansion",
     "CollectedWeights": "expansion",
-    "initial_form": "expansion",
     "expansion": "expansion",
     "sum_expansions": "expansion",
     "Failure": "verify",

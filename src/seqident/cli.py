@@ -13,7 +13,8 @@ and contain no timestamps, so identical inputs produce identical bytes.
 
 verify's range end, collect's --n, expand's --depth and conjecture's
 --probe-n and --verify-to are at most MAX_INDEX; eval's --n and both ends
-of its --range are within -MAX_EVAL_INDEX..MAX_EVAL_INDEX.  eval prints at
+of its --range are within -MAX_EVAL_INDEX..MAX_EVAL_INDEX, and so is the
+distance from conjecture's seeds to min(1, 2-d)..--verify-to.  eval prints at
 most MAX_EVAL_BITS bits: before evaluating, the width of its range (1 for
 --n) times a bound on the bits of the farther end's value, from the spec
 alone, is checked against it.
@@ -331,6 +332,11 @@ def cmd_conjecture(args) -> int:
     _check_index("--verify-to", args.verify_to)
     _check_index("--probe-n", args.probe_n)
     spec = _load_spec(args.spec, args.name)
+    lo = min(1, 2 - spec.order)  # the identity reads U(lo..verify_to)
+    distance = max(0, spec.seed_start - args.verify_to, lo - spec.seed_end)
+    if distance > MAX_EVAL_INDEX:
+        raise CliError(f"conjecture: the seeds of {spec.name} are {distance} indices from "
+                       f"{lo}..{args.verify_to}; at most {MAX_EVAL_INDEX} are supported")
     conj = conjecture(spec, args.probe_n, args.verify_to, max_order=args.max_order)
     status = 0 if conj.status == VERIFIED else 1
 

@@ -1,15 +1,17 @@
 """Linear-form expansion of a recurrence and per-shift coefficient collection.
 
 A LinearForm expresses U(n) as an integer combination of shifted terms
-U(n-k).  Repeatedly substituting the recurrence for the least-shifted term
-produces deeper expansions; summing the first n-1 of them and collecting
-coefficients per shift yields the weights a_1..a_{n-1} plus a residual of
-boundary terms at shifts >= n (which multiply values at index <= 0).
+U(n-k).  Substituting the recurrence for the least-shifted term gives the
+next, deeper expansion, whose nonzero shifts all fit in one window of d
+slots.  Summing the first n-1 expansions and collecting coefficients per
+shift yields the weights a_1..a_{n-1} plus a residual of boundary terms at
+shifts >= n (which multiply values at index <= 0).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from .sequences import CheckedRecord, SequenceSpec
 
@@ -41,51 +43,42 @@ class CollectedWeights(namedtuple("CollectedWeights", "n weights residual")):
     __slots__ = ()
 
 
-def initial_form(spec: SequenceSpec) -> LinearForm:
-    """The recurrence itself as a form: shift i carries coefficient ci."""
-    return LinearForm(spec, {i + 1: c for i, c in enumerate(spec.coeffs)})
+def _forms(coeffs: tuple[int, ...]):
+    """Yield the form of each depth 1, 2, ... as (k, w): sum w[i]*U(n-k-i), w[0] != 0.
 
-
-def _substitute(terms: dict[int, int], coeffs: tuple[int, ...]) -> dict[int, int]:
-    """One substitution step on a raw shift->coefficient map."""
-    k_min = min(terms)
-    c = terms[k_min]
-    out = dict(terms)
-    del out[k_min]
-    for i, ci in enumerate(coeffs, start=1):
-        nc = out.get(k_min + i, 0) + c * ci
-        if nc:
-            out[k_min + i] = nc
-        else:
-            out.pop(k_min + i, None)
-    return out
+    A substitution leaves top*c_d, never 0, in the last of the d slots, so no
+    nonzero shift leaves the window; a leading slot that is 0 is passed over.
+    """
+    k, w = 1, list(coeffs)
+    while True:
+        while not w[0]:
+            k, w = k + 1, w[1:] + [0]
+        yield k, w
+        top = w[0]
+        k, w = k + 1, [a + top * c for a, c in zip(w[1:] + [0], coeffs)]
 
 
 def expansion(spec: SequenceSpec, depth: int) -> LinearForm:
     """The form after depth-1 substitutions of the least-shifted term."""
     if depth < 1:
         raise ValueError(f"expansion depth must be >= 1, got {depth}")
-    terms = initial_form(spec).terms
-    for _ in range(depth - 1):
-        terms = _substitute(terms, spec.coeffs)
-    return LinearForm(spec, terms)
+    k, w = next(islice(_forms(spec.coeffs), depth - 1, None))
+    return LinearForm(spec, dict(enumerate(w, start=k)))
 
 
 def sum_expansions(spec: SequenceSpec, n: int) -> CollectedWeights:
     """Sum the expansions of depth 1..n-1 and collect coefficients per shift.
 
     Shifts 1..n-1 populate the weight vector (absent shifts are 0); shifts
-    >= n are kept as the residual.  Each expansion is the last after one
-    substitution: O(n*d) coefficient operations, about n + d totals.
+    >= n are kept as the residual.  Each form is one window of d slots:
+    O(n*d) coefficient operations in all.
     """
     if n < 2:
         raise ValueError(f"target index must be >= 2, got {n}")
-    cur = initial_form(spec).terms
-    totals = dict(cur)
-    for _ in range(n - 2):
-        cur = _substitute(cur, spec.coeffs)
-        for k, c in cur.items():
-            totals[k] = totals.get(k, 0) + c
+    totals = {}
+    for k, w in islice(_forms(spec.coeffs), n - 1):
+        for shift, c in enumerate(w, start=k):
+            totals[shift] = totals.get(shift, 0) + c
     weights = tuple(totals.get(k, 0) for k in range(1, n))
     residual = {k: c for k, c in sorted(totals.items()) if k >= n and c != 0}
     return CollectedWeights(n, weights, residual)

@@ -472,7 +472,7 @@ def test_noninvertible_backward_eval_exits_two(tmp_path, capsys):
     assert err.startswith("seqident: error: cannot extend 'J' backward") and err.count("\n") == 1
 
 
-def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
+def test_indices_above_the_maximum_exit_two(tmp_path, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("evaluated an index above cli.MAX_INDEX")
 
@@ -506,6 +506,22 @@ def test_indices_above_the_maximum_exit_two(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("seqident: error:") and str(cli.MAX_INDEX) in err
+    # conjecture evaluates U over min(1, 2-d)..--verify-to, 0..50 here; seeds
+    # farther than MAX_EVAL_INDEX from that window exit 2 before any work.
+    top = cli.MAX_EVAL_INDEX + 50
+    for seed, rejected in ((10 ** 9, True), (top + 1, True), (-cli.MAX_EVAL_INDEX - 2, True),
+                           (top, False), (-cli.MAX_EVAL_INDEX - 1, False)):
+        spec = tmp_path / "far.seq"
+        spec.write_text(f"seq G: G(n)=G(n-1)+G(n-2); G({seed})=1; G({seed + 1})=1\n")
+        argv = ["conjecture", "--spec", str(spec), "--probe-n", "40", "--verify-to", "50"]
+        if not rejected:
+            with pytest.raises(AssertionError):
+                main(argv)
+            continue
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), seed
+        assert err.startswith("seqident: error: conjecture: the seeds of G are ")
+        assert err.count("\n") == 1 and str(cli.MAX_EVAL_INDEX) in err
 
 
 def test_eval_indices_beyond_the_maximum_exit_two(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from seqident.expansion import LinearForm, expansion, initial_form, sum_expansions
+from seqident.expansion import LinearForm, expansion, sum_expansions
 from seqident.sequences import FIBONACCI, LUCAS, TRIBONACCI, SequenceSpec, eval_term
 
 
@@ -21,8 +21,12 @@ def iter_fib(n):
 
 
 def oracle_expand(coeffs, depth):
-    """Direct-substitution oracle: depth-1 rewrites of the least shift."""
-    pairs = [(i, c) for i, c in enumerate(coeffs, start=1)]
+    """Direct-substitution oracle: depth-1 rewrites of the least shift.
+
+    Only nonzero terms are ever held, so a zero coefficient is never
+    substituted: a rewrite always removes a term that is there.
+    """
+    pairs = [(i, c) for i, c in enumerate(coeffs, start=1) if c != 0]
     for _ in range(depth - 1):
         k_min = min(k for k, _ in pairs)
         keep = [(k, c) for k, c in pairs if k != k_min]
@@ -46,8 +50,11 @@ def validate_form(form, indices):
 
 
 def test_initial_form():
-    assert initial_form(FIBONACCI).terms == {1: 1, 2: 1}
-    assert initial_form(TRIBONACCI).terms == {1: 1, 2: 1, 3: 1}
+    # depth 1 is the recurrence itself: shift i carries coefficient ci
+    assert expansion(FIBONACCI, 1).terms == {1: 1, 2: 1}
+    assert expansion(TRIBONACCI, 1).terms == {1: 1, 2: 1, 3: 1}
+    spec = SequenceSpec("A", (0, 2, 0, -1), (1, 2, 3, 4))
+    assert list(expansion(spec, 1).terms.items()) == [(2, 2), (4, -1)]
 
 
 def test_first_four_expansions():
@@ -67,10 +74,13 @@ def test_expansion_closed_form():
 
 
 def test_expansion_matches_substitution_oracle():
+    # 0 is drawn too (never as the trailing coefficient), so the forms
+    # pass over shifts whose coefficient cancels or starts at 0
     rng = random.Random(40917)
     for _ in range(30):
         d = rng.randrange(1, 5)
-        coeffs = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(d))
+        coeffs = tuple(rng.choice([-2, -1, 0, 1, 2]) for _ in range(d - 1))
+        coeffs += (rng.choice([-2, -1, 1, 2]),)
         spec = SequenceSpec("A", coeffs, tuple(range(1, d + 1)), seed_start=0)
         depth = rng.randrange(1, 12)
         assert expansion(spec, depth).terms == oracle_expand(coeffs, depth)
