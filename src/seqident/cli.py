@@ -53,10 +53,10 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 # take about 0.087*H**2 bytes together: 8.7 MB at 10,000.  The scan packs them into two
 # operands of about as many decimal digits (21M at 10,000), and multiplying
 # those takes a transient of about 15 times the tables: `verify --range
-# 2..10000 --format json` peaks at 167 MB RSS, in 7 s, and the peak is the
-# scan's (--quiet peaks the same).  At 10,000 (trib; 2 cores, Python 3.11),
-# `collect --n` takes 0.8 s and 55 MB, and `conjecture --probe-n` 0.3 s and
-# 21 MB at the default --max-order, 0.8 s and 33 MB at its largest, 4999.
+# 2..10000 --format json` peaks at 176 MB RSS in 4.8 s, the scan's peak (--quiet
+# peaks the same); --inductive adds the replay's scan, 224 MB in 9.9 s.  At 10,000
+# (trib; 2 cores, Python 3.11), `collect --n` takes 0.8 s and 55 MB, and `conjecture
+# --probe-n` 0.3 s and 21 MB at the default --max-order, 0.8 s and 33 MB at 4999.
 MAX_INDEX = 10_000
 
 # The largest |n| for eval's --n and either end of its --range.  eval jumps

@@ -8,7 +8,8 @@ decomposition and reindexing steps that prove it.
 identity_rows is the one identity-scan engine: it checks the general form
 (n-1)*U(n) = sum a(k)*U(n-k) + sum_j rho_j(n)*U(-j) row by row.  The
 paper's check (fibonacci_rows, for check_range and the CLI), the
-conjecture verifier and collect_general's cross-check all run on it.
+conjecture verifier and collect_general's cross-check all run on it, and
+the inductive replay (inductive_rows) reads its sums from its scan.
 
 All arithmetic is exact: Python ints, Fractions, and integral Decimals in
 a context that traps every rounding.
@@ -221,13 +222,12 @@ def _lucas_fib_tables(hi: int) -> tuple[list, list]:
     return eval_range(LUCAS, 0, hi), eval_range(FIBONACCI, 0, hi)
 
 
-def convolution_sum(n: int, *, _tables=None):
-    """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation."""
-    # _tables, for inductive_rows only, is _lucas_fib_tables(h) for some
-    # h >= n-1, read in place of evaluating the tables again.
+def convolution_sum(n: int):
+    """S(n) = sum_{k=1}^{n-1} L(k)*F(n-k), by direct summation: the
+    reference the scan (convolution_values) is tested against."""
     if n < 2:
         raise ValueError(f"convolution sum needs n >= 2, got {n}")
-    lucs, fibs = _lucas_fib_tables(n - 1) if _tables is None else _tables
+    lucs, fibs = _lucas_fib_tables(n - 1)
     return dot_product(lucs[1:n], fibs[n - 1:0:-1])  # L(k) paired with F(n-k)
 
 
@@ -279,17 +279,16 @@ def inductive_rows(lo: int, hi: int):
     holds iff S(m+1) equals F(m) + S(m) + L(0)*F(m-1) + S(m-1), and also
     m*F(m+1).
 
-    Every S value is a direct summation over L and F tables evaluated once,
-    up to index hi + 1; the F and L terms of the decomposition are read from
-    the same tables.
+    S(lo-1)..S(hi+1) come from one scan (convolution_values) over L and F
+    tables evaluated once, up to index hi + 1; the F and L terms of the
+    decomposition are read from the same tables.
     """
     if lo < 3:
         raise ValueError(f"inductive step needs m >= 3, got {lo}")
-    tables = lucs, fibs = _lucas_fib_tables(hi + 1)
-    for m in range(lo, hi + 1):
-        s_next = convolution_sum(m + 1, _tables=tables)
-        decomposed = (fibs[m] + convolution_sum(m, _tables=tables) + lucs[0] * fibs[m - 1]
-                      + convolution_sum(m - 1, _tables=tables))
+    lucs, fibs = _lucas_fib_tables(hi + 1)
+    s = convolution_values(lucs, fibs, lo - 1, hi + 1)  # s[i] = S(lo-1+i)
+    for m, s_prev, s_m, s_next in zip(range(lo, hi + 1), s, s[1:], s[2:]):
+        decomposed = fibs[m] + s_m + lucs[0] * fibs[m - 1] + s_prev
         yield m, s_next, decomposed, s_next == decomposed and s_next == m * fibs[m + 1]
 
 

@@ -104,6 +104,42 @@ def test_inductive_step_small_range():
     assert all(inductive_step_check(m) for m in range(3, 80))
 
 
+def direct_inductive_rows(lo, hi):
+    """inductive_rows' rows with every S value a direct summation
+    (convolution_sum), and F and L read from the specs verify reads."""
+    lucs, fibs = eval_range(verify.LUCAS, 0, hi + 1), eval_range(verify.FIBONACCI, 0, hi + 1)
+    s = {n: convolution_sum(n) for n in range(lo - 1, hi + 2)}
+    rows = []
+    for m in range(lo, hi + 1):
+        decomposed = fibs[m] + s[m] + lucs[0] * fibs[m - 1] + s[m - 1]
+        rows.append((m, s[m + 1], decomposed,
+                     s[m + 1] == decomposed and s[m + 1] == m * fibs[m + 1]))
+    return rows
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_inductive_rows_match_direct_sums(monkeypatch, tampered):
+    if tampered:  # L(2) = 4: the decomposition holds, S(m+1) = m*F(m+1) fails
+        monkeypatch.setattr(verify, "LUCAS", SequenceSpec("L", (1, 1), (1, 4), seed_start=1))
+    products = []
+    product = verify._product
+
+    def counted(*args):
+        c = product(*args)
+        products.append(c is not None)
+        return c
+
+    monkeypatch.setattr(verify, "_product", counted)
+    # Two windows the scan sums row by row, two it takes from one product.
+    for lo, hi in ((3, 40), (97, 103), (3, 400), (250, 400)):
+        products.clear()
+        rows, direct = list(verify.inductive_rows(lo, hi)), direct_inductive_rows(lo, hi)
+        assert rows == direct, (lo, hi)
+        assert any(products) == (hi >= 400), (lo, hi, products)
+        failing = [m for m, *_, ok in rows if not ok]
+        assert failing == (list(range(lo, hi + 1)) if tampered else [])
+
+
 def test_inductive_step_domain():
     with pytest.raises(ValueError):
         inductive_step_check(2)
