@@ -54,7 +54,8 @@ _RANGE_RE = re.compile(r"(-?\d+)\.\.(-?\d+)\Z")
 # operands of about as many decimal digits (21M at 10,000), and multiplying
 # those takes a transient of about 15 times the tables: `verify --range
 # 2..10000 --format json` peaks at 176 MB RSS in 4.8 s, the scan's peak (--quiet
-# peaks the same); --inductive adds the replay's scan, 224 MB in 9.9 s.  At 10,000
+# peaks the same); with --inductive, whose replay reads the same scan, json
+# peaks at 214 MB in 6.9 s (5.2 s without it, timed alongside).  At 10,000
 # (trib; 2 cores, Python 3.11), `collect --n` takes 0.8 s and 55 MB, and `conjecture
 # --probe-n` 0.3 s and 21 MB at the default --max-order, 0.8 s and 33 MB at 4999.
 MAX_INDEX = 10_000
@@ -93,6 +94,8 @@ class CliError(ValueError):
 def _load_spec(arg: str, name: str | None) -> SequenceSpec:
     """Resolve --spec: either builtin:<name> or a DSL file path."""
     if arg.startswith("builtin:"):
+        if name is not None:
+            raise CliError(f"--name {name!r} names a sequence in a spec file, not in {arg!r}")
         key = arg[len("builtin:"):].lower()
         if key not in BUILTIN_SPECS:
             known = ", ".join(sorted(BUILTIN_SPECS))
@@ -192,22 +195,21 @@ def _emit(args, params: dict, status: int, plain_lines, results,
 
 
 # `jobs` is unused; the benchmark's tracer wraps this name, which goes with ROADMAP item 1.
-def _map_chunks(worker, bounds: list[tuple[int, int]], jobs: int) -> list:
+def _map_chunks(worker, bounds: list[tuple], jobs: int) -> list:
     return [row for b in bounds for row in worker(b)]
 
 
-def _identity_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
-    """(n, lhs, rhs, ok) rows for the identity over one chunk."""
-    from .verify import fibonacci_rows
+def _identity_chunk(chunk: tuple[int, int, bool]) -> list[tuple[str, int, int, int, bool]]:
+    """The kind-tagged identity rows over one chunk (lo, hi, inductive) and,
+    with inductive, the replay's rows, from one scan."""
+    from .verify import fibonacci_checks
 
-    return list(fibonacci_rows(*bounds))
+    identity, replay = fibonacci_checks(*chunk)
+    return [("identity", *row) for row in identity] + [("inductive", *row) for row in replay]
 
 
-def _inductive_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int, bool]]:
-    """(m, S(m+1), decomposition, ok) rows over one chunk."""
-    from .verify import inductive_rows
-
-    return list(inductive_rows(*bounds))
+# Kept only for the benchmark's tracer, which wraps this name (ROADMAP item 1).
+_inductive_chunk = _identity_chunk
 
 
 def cmd_eval(args) -> int:
@@ -283,16 +285,9 @@ def cmd_verify(args) -> int:
     if lo < 2:
         raise CliError(f"verify range must start at 2 or above, got {lo}")
     _check_index("verify range end", hi)
-    # One chunk each, in this process: no benchmark workload gains from a
-    # second process (README, --jobs).
-    rows = _map_chunks(_identity_chunk, [(lo, hi)], args.jobs)
-    checks = [("identity", n, lhs, rhs, ok) for n, lhs, rhs, ok in rows]
-    if args.inductive:
-        m_lo = max(3, lo)
-        if m_lo <= hi:
-            ind = _map_chunks(_inductive_chunk, [(m_lo, hi)], args.jobs)
-            checks += [("inductive", m, lhs, rhs, ok) for m, lhs, rhs, ok in ind]
-
+    # One chunk, in this process: no benchmark workload gains from a second
+    # process (README, --jobs).
+    checks = _map_chunks(_identity_chunk, [(lo, hi, args.inductive)], args.jobs)
     failed = [c for c in checks if not c[4]]
     status = 1 if failed else 0
 

@@ -7,9 +7,10 @@ decomposition and reindexing steps that prove it.
 
 identity_rows is the one identity-scan engine: it checks the general form
 (n-1)*U(n) = sum a(k)*U(n-k) + sum_j rho_j(n)*U(-j) row by row.  The
-paper's check (fibonacci_rows, for check_range and the CLI), the
-conjecture verifier and collect_general's cross-check all run on it, and
-the inductive replay (inductive_rows) reads its sums from its scan.
+paper's check (fibonacci_checks, for check_range and the CLI), the
+conjecture verifier and collect_general's cross-check all run on it; the
+paper's check takes its identity rows and its inductive replay from one
+scan.
 
 All arithmetic is exact: Python ints, Fractions, and integral Decimals in
 a context that traps every rounding.
@@ -249,11 +250,6 @@ def identity_rows(lo: int, hi: int, weights, values, extra=()):
         yield n, lhs, rhs, rhs == lhs and Fraction(rhs, n - 1) == u
 
 
-def fibonacci_rows(lo: int, hi: int):
-    """identity_rows for the paper's instance U = F, a = L, no residual."""
-    return identity_rows(lo, hi, *_lucas_fib_tables(hi))
-
-
 def require_range(lo: int, hi: int) -> None:
     """Raise ValueError unless lo..hi is a range the identity scan checks."""
     if lo < 2 or lo > hi:
@@ -270,31 +266,36 @@ def check_range(lo: int, hi: int) -> IdentityReport:
     """Check the identity for every n in lo..hi; report the least failure."""
     require_range(lo, hi)
     t0 = time.perf_counter()
-    return scan_report(lo, hi, fibonacci_rows(lo, hi), t0)
+    return scan_report(lo, hi, fibonacci_checks(lo, hi)[0], t0)
 
 
-def inductive_rows(lo: int, hi: int):
-    """Replay the inductive decomposition at each m in lo..hi (lo >= 3, so
-    that S(m-1) is defined): yield (m, S(m+1), decomposition, ok), where ok
-    holds iff S(m+1) equals F(m) + S(m) + L(0)*F(m-1) + S(m-1), and also
-    m*F(m+1).
-
-    S(lo-1)..S(hi+1) come from one scan (convolution_values) over L and F
-    tables evaluated once, up to index hi + 1; the F and L terms of the
-    decomposition are read from the same tables.
+def fibonacci_checks(lo: int, hi: int, inductive: bool = False) -> tuple[list, list]:
+    """(identity, replay) from one scan of the paper's instance U = F, a = L:
+    identity_rows' rows for n in lo..hi (lo >= 2) and, with inductive, the
+    inductive decomposition at each m in max(3, lo)..hi as (m, S(m+1),
+    decomposition, ok), ok iff S(m+1) equals F(m) + S(m) + L(0)*F(m-1) +
+    S(m-1), and also m*F(m+1).  With inductive, the scan runs over
+    max(2, lo-1)..hi+1 on L and F tables evaluated once, to hi+1, and the
+    replay reads its S values from the scan's rows, F and L from the tables.
     """
-    if lo < 3:
-        raise ValueError(f"inductive step needs m >= 3, got {lo}")
-    lucs, fibs = _lucas_fib_tables(hi + 1)
-    s = convolution_values(lucs, fibs, lo - 1, hi + 1)  # s[i] = S(lo-1+i)
-    for m, s_prev, s_m, s_next in zip(range(lo, hi + 1), s, s[1:], s[2:]):
-        decomposed = fibs[m] + s_m + lucs[0] * fibs[m - 1] + s_prev
-        yield m, s_next, decomposed, s_next == decomposed and s_next == m * fibs[m + 1]
+    first, last = (max(2, lo - 1), hi + 1) if inductive else (lo, hi)
+    lucs, fibs = _lucas_fib_tables(last)
+    rows = list(identity_rows(first, last, lucs, fibs))
+    replay = []
+    if inductive:
+        s = [rhs for _, _, rhs, _ in rows]  # s[i] = S(first+i); first + 1 = max(3, lo)
+        for m, s_prev, s_m, s_next in zip(range(first + 1, hi + 1), s, s[1:], s[2:]):
+            decomposed = fibs[m] + s_m + lucs[0] * fibs[m - 1] + s_prev
+            replay.append((m, s_next, decomposed,
+                           s_next == decomposed and s_next == m * fibs[m + 1]))
+    return rows[lo - first:hi - first + 1], replay
 
 
 def inductive_step_check(m: int) -> bool:
-    """True iff the inductive decomposition holds at m (see inductive_rows)."""
-    return next(inductive_rows(m, m))[3]
+    """True iff the inductive decomposition holds at m (see fibonacci_checks)."""
+    if m < 3:
+        raise ValueError(f"inductive step needs m >= 3, got {m}")
+    return fibonacci_checks(m, m, inductive=True)[1][0][3]
 
 
 def reindex_equal(m: int) -> bool:

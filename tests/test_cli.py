@@ -153,8 +153,8 @@ def test_expand_csv(capsys):
 
 
 def test_verify_failure_in_every_format(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_identity_chunk", lambda bounds: [(2, 1, 1, True),
-                                                                 (3, 2, 3, False)])
+    monkeypatch.setattr(cli, "_identity_chunk", lambda chunk: [("identity", 2, 1, 1, True),
+                                                                ("identity", 3, 2, 3, False)])
     outs = {}
     for fmt in ("plain", "json", "csv"):
         code, outs[fmt], _ = run(capsys, "verify", "--range", "2..3", "--format", fmt)
@@ -166,6 +166,39 @@ def test_verify_failure_in_every_format(capsys, monkeypatch):
     assert record["status"] == 1
     assert [c["pass"] for c in record["results"]["checks"]] == [True, False]
     assert outs["csv"].splitlines()[-1] == "identity,3,2,3,FAIL"
+
+
+def test_each_verify_command_makes_one_scan(capsys, monkeypatch):
+    # The identity rows and the inductive replay read one convolution: over
+    # lo..hi, or over max(2, lo-1)..hi+1 with --inductive, whose replay reads
+    # S(m-1) and S(m+1) at each m in max(3, lo)..hi.
+    from seqident import verify
+
+    scans, products = [], []
+    scan, product = verify.convolution_values, verify._product
+
+    def counted_scan(weights, values, lo, hi):
+        scans.append((lo, hi))
+        return scan(weights, values, lo, hi)
+
+    def counted_product(*args):
+        c = product(*args)
+        products.append(c is not None)
+        return c
+
+    monkeypatch.setattr(verify, "convolution_values", counted_scan)
+    monkeypatch.setattr(verify, "_product", counted_product)
+    # The first four are summed row by row, the last two are one product each.
+    for lo, hi, one_product in ((2, 2, False), (2, 50, False), (3, 60, False),
+                                (250, 300, False), (2, 300, True), (3, 400, True)):
+        for inductive in ((), ("--inductive",)):
+            scans.clear()
+            products.clear()
+            code, _, _ = run(capsys, "verify", f"--range={lo}..{hi}", "--quiet", *inductive)
+            assert code == 0
+            want = (max(2, lo - 1), hi + 1) if inductive else (lo, hi)
+            assert scans == [want], (lo, hi, inductive)
+            assert any(products) == one_product, (lo, hi, inductive)
 
 
 def test_jobs_do_not_change_output_bytes(capsys):
@@ -294,8 +327,9 @@ class Rendered:
 def test_each_value_is_rendered_once_in_the_chosen_format_only(capsys, monkeypatch):
     count = [0]
     monkeypatch.setattr(cli, "eval_range", lambda spec, lo, hi: [Rendered(count)] * (hi - lo + 1))
-    monkeypatch.setattr(cli, "_map_chunks", lambda worker, bounds, jobs: [
-        (n, Rendered(count), Rendered(count), True) for lo, hi in bounds for n in range(lo, hi + 1)])
+    monkeypatch.setattr(cli, "_map_chunks", lambda worker, chunks, jobs: [
+        ("identity", n, Rendered(count), Rendered(count), True)
+        for lo, hi, _ in chunks for n in range(lo, hi + 1)])
     commands = [(("eval", "--spec", "builtin:fib", "--n", "5"), 1),
                 (("eval", "--spec", "builtin:fib", "--range", "1..3"), 3),
                 (("verify", "--range", "2..4"), 6)]  # lhs and rhs of 3 rows
@@ -341,6 +375,17 @@ def test_unknown_builtin_exits_two(capsys):
     code, _, err = run(capsys, "eval", "--spec", "builtin:nope", "--n", "1")
     assert code == 2
     assert "unknown builtin" in err
+
+
+def test_name_with_a_builtin_spec_exits_two(capsys):
+    # --name picks a sequence out of a spec file; a builtin has none to pick.
+    for argv in (("eval", "--spec", "builtin:fib", "--name", "Nope", "--n", "5"),
+                 ("expand", "--spec", "builtin:trib", "--name", "T", "--depth", "3"),
+                 ("conjecture", "--spec", "builtin:fib", "--name", "F", "--probe-n", "20",
+                  "--verify-to", "30")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("seqident: error: --name ") and err.count("\n") == 1, argv
 
 
 def test_bad_range_exits_two(capsys):

@@ -133,12 +133,12 @@ def test_the_benchmark_tracer_runs_an_inductive_verify():
     finally:
         tracer.uninstall()
     assert code == 0
-    assert cli._identity_chunk is original
+    assert cli._identity_chunk is original and cli._inductive_chunk is original
     metrics = tracing.layer_metrics(tracer.spans, {})
-    # One chunk for the identity scan and one for the replay.
-    assert metrics["cli.chunks"] == 2
+    # One chunk gives the identity rows and the replay.
+    assert metrics["cli.chunks"] == 1
     # The kernel layer is timed only if _backend.kernels holds the functions
-    # verify calls; each chunk is one scan, and no S value is summed directly.
+    # verify calls; the chunk is one scan, and no S value is summed directly.
     assert metrics["kernels_py.convolution_values_s"] > 0
-    assert sum(s[0] == "convolution_values" for s in tracer.spans) == 2
+    assert [s[7] for s in tracer.spans if s[0] == "convolution_values"] == [(2, 41)]
     assert metrics["verify.convolution_sum_calls"] == 0

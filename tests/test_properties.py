@@ -328,11 +328,12 @@ FORMATS = st.sampled_from(("plain", "json", "csv"))
 @SETTINGS
 @given(spec=dsl_specs(), depth=st.integers(1, 40), start=st.integers(-30, 60),
        width=st.integers(0, 40), n=st.integers(2, 40), hi=st.integers(2, 60),
-       inductive=st.booleans(), max_order=st.integers(1, 6), extra=st.integers(2, 6),
+       cut=st.integers(0, 58), inductive=st.booleans(), max_order=st.integers(1, 6),
+       extra=st.integers(2, 6),
        formats=st.tuples(FORMATS, FORMATS, FORMATS, FORMATS, FORMATS))
 def test_every_subcommand_passes_the_benchmark_oracle(oracle, spec_path, spec, depth, start,
-                                                      width, n, hi, inductive, max_order,
-                                                      extra, formats):
+                                                      width, n, hi, cut, inductive,
+                                                      max_order, extra, formats):
     # format_spec writes the spec file and expand's plain line comes from the
     # same term renderer; the oracle judges every output with its own arithmetic.
     spec_path.write_text(format_spec(spec) + "\n", encoding="utf-8")
@@ -341,6 +342,9 @@ def test_every_subcommand_passes_the_benchmark_oracle(oracle, spec_path, spec, d
     if not spec.invertible():  # below the seeds it exits 2: NonInvertibleStepError
         lo = max(lo, spec.seed_start)
     probe_n = 2 * max_order + extra
+    # verify's window starts anywhere in 2..hi: at 3 its scan reads S(2) for
+    # the replay's first m, and above 3 it reads S(lo-1).
+    verify_lo = 2 + cut % (hi - 1)
     spec_argv = ["--spec", str(spec_path)]
     # (argv, expectation, whether exit 2 is allowed): conjecture evaluates
     # U(min(1, 2-d)) and up, below the seeds for some specs.
@@ -350,8 +354,8 @@ def test_every_subcommand_passes_the_benchmark_oracle(oracle, spec_path, spec, d
         (["eval", f"--range={lo}..{lo + width}", *spec_argv],
          {"kind": "eval", "spec": want, "lo": lo, "hi": lo + width}, False),
         (["collect", f"--n={n}", *spec_argv], {"kind": "collect", "spec": want, "n": n}, False),
-        (["verify", f"--range=2..{hi}", *(["--inductive"] if inductive else [])],
-         {"kind": "verify", "lo": 2, "hi": hi, "inductive": inductive}, False),
+        (["verify", f"--range={verify_lo}..{hi}", *(["--inductive"] if inductive else [])],
+         {"kind": "verify", "lo": verify_lo, "hi": hi, "inductive": inductive}, False),
         (["conjecture", *spec_argv, "--probe-n", str(probe_n), "--verify-to", str(hi),
           "--max-order", str(max_order)],
          {"kind": "conjecture", "spec": want, "verify_to": hi},

@@ -105,12 +105,12 @@ def test_inductive_step_small_range():
 
 
 def direct_inductive_rows(lo, hi):
-    """inductive_rows' rows with every S value a direct summation
+    """fibonacci_checks' replay rows with every S value a direct summation
     (convolution_sum), and F and L read from the specs verify reads."""
     lucs, fibs = eval_range(verify.LUCAS, 0, hi + 1), eval_range(verify.FIBONACCI, 0, hi + 1)
-    s = {n: convolution_sum(n) for n in range(lo - 1, hi + 2)}
+    s = {n: convolution_sum(n) for n in range(max(2, lo - 1), hi + 2)}
     rows = []
-    for m in range(lo, hi + 1):
+    for m in range(max(3, lo), hi + 1):
         decomposed = fibs[m] + s[m] + lucs[0] * fibs[m - 1] + s[m - 1]
         rows.append((m, s[m + 1], decomposed,
                      s[m + 1] == decomposed and s[m + 1] == m * fibs[m + 1]))
@@ -130,14 +130,18 @@ def test_inductive_rows_match_direct_sums(monkeypatch, tampered):
         return c
 
     monkeypatch.setattr(verify, "_product", counted)
-    # Two windows the scan sums row by row, two it takes from one product.
-    for lo, hi in ((3, 40), (97, 103), (3, 400), (250, 400)):
+    # Windows the scan sums row by row, among them lo = 2, 3 and 4 and one
+    # row, then two it takes from one product.
+    for lo, hi in ((2, 40), (3, 40), (4, 40), (2, 2), (3, 3), (4, 4), (97, 103), (97, 97),
+                   (3, 400), (250, 400)):
         products.clear()
-        rows, direct = list(verify.inductive_rows(lo, hi)), direct_inductive_rows(lo, hi)
-        assert rows == direct, (lo, hi)
+        identity, replay = verify.fibonacci_checks(lo, hi, inductive=True)
         assert any(products) == (hi >= 400), (lo, hi, products)
-        failing = [m for m, *_, ok in rows if not ok]
-        assert failing == (list(range(lo, hi + 1)) if tampered else [])
+        assert replay == direct_inductive_rows(lo, hi), (lo, hi)
+        assert identity == list(verify.identity_rows(lo, hi, *verify._lucas_fib_tables(hi)))
+        failing = [m for m, *_, ok in replay if not ok]
+        assert failing == (list(range(max(3, lo), hi + 1)) if tampered else [])
+        assert verify.fibonacci_checks(lo, hi) == (identity, [])
 
 
 def test_inductive_step_domain():
