@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     "SequenceSpec": "sequences",
-    "NonInvertibleStepError": "sequences",
     "FIBONACCI": "sequences",
     "LUCAS": "sequences",
     "TRIBONACCI": "sequences",

@@ -15,21 +15,25 @@ verify's range end, collect's --n, expand's --depth and conjecture's
 --probe-n and --verify-to are at most MAX_INDEX; eval's --n and both ends
 of its --range are within -MAX_EVAL_INDEX..MAX_EVAL_INDEX, and so is the
 distance from conjecture's seeds to min(1, 2-d)..--verify-to.  eval prints at
-most MAX_EVAL_BITS bits: before evaluating, the width of its range (1 for
---n) times a bound on the bits of the farther end's value, from the spec
-alone, is checked against it.
+most MAX_EVAL_BITS bits, and conjecture reads values of at most as many
+bits: before evaluating, the width of the range of values (eval's range, 1
+for --n; conjecture's min(1, 2-d)..--verify-to) times a bound on the bits
+of the farther end's value, from the spec alone, is checked against it.
 
 Each subcommand loads only the modules it runs: every one loads
 sequences; expand and collect add expansion; verify adds verify, which
 holds the scan and loads fractions and decimal, and conjecture adds
 verify and conjecture, not expansion.  A --spec file adds dsl, and json
 loads only for --format json.  No command loads csv, concurrent.futures or
-dataclasses, and eval, expand and collect never load fractions: the specs
-the CLI reads are integer-mode.
+dataclasses, and eval, expand and collect never load fractions: expand
+and collect read no values, and eval prints integers only, so it refuses
+indices below the seeds of a spec whose trailing coefficient is not a unit
+(the one case that can give a fraction).
 
 Exit codes: 0 all checks passed, 1 a check failed (the least failing
 index is printed), 2 usage or parse errors, an argument the library
-rejects (such as NonInvertibleStepError), a spec file that cannot be read
+rejects, an index or bits bound exceeded, eval below the seeds of a spec
+whose trailing coefficient is not a unit, a spec file that cannot be read
 or decoded or is over MAX_SPEC_BYTES, or stdout was closed.
 """
 
@@ -67,9 +71,12 @@ MAX_INDEX = 10_000
 # the 208,988-digit value into text takes 0.75 s (2 cores, Python 3.11).
 MAX_EVAL_INDEX = 1_000_000
 
-# The most bits eval prints: before evaluating, the width of the range (1
-# for --n) times a bound on the bits of its farther end's value
-# (_value_bits_bound) must not exceed it.  Memory follows the output, json's
+# The most bits eval prints, and conjecture's values may hold: before
+# evaluating, the width of the range of values (eval's range, 1 for --n;
+# conjecture's min(1, 2-d)..--verify-to) times a bound on the bits of its
+# farther end's value (_value_bits_bound) must not exceed it.  conjecture
+# on fib and trib passes up to --verify-to 7943 and 7070; the benchmark's
+# largest conjecture takes 4.5% of it.  Memory follows the output, json's
 # the most (each value is held as an int, as text, quoted, joined and
 # encoded): a window holding 75% of the budget, G(n) = 15*G(n-1) at
 # 4000..7384, peaks at 93 MB RSS in json and 49 MB in plain or csv, in 3-4 s
@@ -147,26 +154,25 @@ def _value_bits_bound(spec: SequenceSpec, n: int) -> float:
     """An upper bound (up to rounding) on the bits of U(n), numerator and
     denominator together, from the spec alone.  Each step away from the
     seeds, either way, multiplies the largest |value| of a window of d terms
-    by at most 1 + sum|c_i|; below the seeds in rational mode it can also
-    multiply the denominator by |c_d|."""
+    by at most 1 + sum|c_i|; below the seeds it can also multiply the
+    denominator by |c_d| (a term of 0 bits for a unit c_d)."""
     step = math.log2(1 + sum(map(abs, spec.coeffs)))
     if n < spec.seed_start:
         distance = spec.seed_start - n
-        if spec.rational:
-            step += math.log2(abs(spec.coeffs[-1]))
+        step += math.log2(abs(spec.coeffs[-1]))
     else:
         distance = max(0, n - spec.seed_end)
     return max(abs(v) for v in spec.seeds).bit_length() + distance * step
 
 
-def _check_output_budget(what: str, spec: SequenceSpec, lo: int, hi: int) -> None:
+def _over_bits_budget(spec: SequenceSpec, lo: int, hi: int) -> bool:
+    """True when U(lo..hi) could hold more than MAX_EVAL_BITS bits: the width
+    of the range times the bound at its farther end from the seeds."""
     try:
         bits = (hi - lo + 1) * max(_value_bits_bound(spec, lo), _value_bits_bound(spec, hi))
     except OverflowError:  # beyond the float range: far over the budget
-        bits = math.inf
-    if bits > MAX_EVAL_BITS:
-        raise CliError(f"eval {what} could print more than {MAX_EVAL_BITS} bits, "
-                       f"the output budget")
+        return True
+    return bits > MAX_EVAL_BITS
 
 
 def _emit(args, params: dict, status: int, plain_lines, results,
@@ -223,7 +229,12 @@ def cmd_eval(args) -> int:
         raise CliError(f"eval {what} is outside the supported indices "
                        f"-{MAX_EVAL_INDEX}..{MAX_EVAL_INDEX}")
     spec = _load_spec(args.spec, args.name)
-    _check_output_budget(what, spec, lo, hi)
+    if lo < spec.seed_start and abs(spec.coeffs[-1]) != 1:
+        raise CliError(f"eval {what}: cannot extend {spec.name!r} backward in integers: "
+                       f"trailing coefficient {spec.coeffs[-1]} is not a unit")
+    if _over_bits_budget(spec, lo, hi):
+        raise CliError(f"eval {what} could print more than {MAX_EVAL_BITS} bits, "
+                       f"the output budget")
     values = eval_range(spec, lo, hi)
 
     def plain():
@@ -332,6 +343,9 @@ def cmd_conjecture(args) -> int:
     if distance > MAX_EVAL_INDEX:
         raise CliError(f"conjecture: the seeds of {spec.name} are {distance} indices from "
                        f"{lo}..{args.verify_to}; at most {MAX_EVAL_INDEX} are supported")
+    if _over_bits_budget(spec, lo, args.verify_to):
+        raise CliError(f"conjecture: the values of {spec.name} at {lo}..{args.verify_to} "
+                       f"could hold more than {MAX_EVAL_BITS} bits, the budget")
     conj = conjecture(spec, args.probe_n, args.verify_to, max_order=args.max_order)
     status = 0 if conj.status == VERIFIED else 1
 

@@ -142,9 +142,8 @@ def _identity_rows(spec: SequenceSpec, lo: int, hi: int, weights, residual):
 def collect_general(spec: SequenceSpec, n: int):
     """sum_expansions plus a concrete cross-check of the collected identity.
 
-    The residual terms are evaluated against backward-extended sequence
-    values, so a spec that cannot be extended backward raises
-    NonInvertibleStepError here when its residual is nonzero.
+    The residual terms are evaluated against exact sequence values, extended
+    backward past the seeds where needed: Fractions where not integral.
     """
     from .expansion import sum_expansions  # here: conjecture never loads it
 
@@ -197,11 +196,11 @@ def conjecture(spec: SequenceSpec, probe_n: int, verify_hi: int, *,
     The weights a(1..probe_n-1) and, for each offset j = 0..d-2, the
     residual coefficients rho_j(2..2K+2), K = max_order, come from Q(x)
     (module docstring).  Their least recurrences are detected, the constants
-    U(-j) evaluated, and the whole identity verified for 2 <= n <= verify_hi
-    by brute force.  Detection failure (a least order above max_order)
-    yields status "undetermined"; a fabricated identity is never returned.
-    The arguments are checked before any of this work; a constant U(-j) that
-    cannot be evaluated raises NonInvertibleStepError.
+    U(-j) evaluated exactly (Fractions where not integral), and the whole
+    identity verified for 2 <= n <= verify_hi by brute force.  Detection
+    failure (a least order above max_order) yields status "undetermined"; a
+    fabricated identity is never returned.  The arguments are checked before
+    any of this work.
     """
     require_range(2, verify_hi)
     if max_order < 1:

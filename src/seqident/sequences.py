@@ -16,19 +16,15 @@ x**-m = g**m / cd**m: the powers stay in integers and the one division by
 cd**m comes at the end.  Memory is the size of the values returned, not of
 every term between them and the seeds.
 
-All arithmetic is exact: plain Python ints, or Fractions when a spec opts
-into rational mode and a value below the seeds is not an integer.
+All arithmetic is exact: every value is a plain Python int, except a value
+below the seeds that is not an integer (possible only when |cd| != 1),
+which is a Fraction.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul
-
-
-class NonInvertibleStepError(ValueError):
-    """Backward extension needs |trailing coefficient| = 1 unless the spec
-    opts into rational mode."""
 
 
 class CheckedRecord:
@@ -43,12 +39,10 @@ class CheckedRecord:
 
 
 class SequenceSpec(CheckedRecord,
-                   namedtuple("SequenceSpec", "name coeffs seeds seed_start rational")):
+                   namedtuple("SequenceSpec", "name coeffs seeds seed_start")):
     """An order-d linear recurrence U(n) = c1*U(n-1) + ... + cd*U(n-d).
 
     `seeds` are the first d values, starting at index `seed_start`.
-    `rational` permits backward extension with |cd| != 1 by switching the
-    extended values to exact fractions; the default is integer-only.
 
     An immutable namedtuple, like the package's other records; __new__
     normalises and checks the fields.
@@ -56,7 +50,7 @@ class SequenceSpec(CheckedRecord,
 
     __slots__ = ()
 
-    def __new__(cls, name: str, coeffs, seeds, seed_start: int = 0, rational: bool = False):
+    def __new__(cls, name: str, coeffs, seeds, seed_start: int = 0):
         coeffs, seeds = tuple(coeffs), tuple(seeds)
         if not name:
             raise ValueError("sequence name must be non-empty")
@@ -66,7 +60,7 @@ class SequenceSpec(CheckedRecord,
             raise ValueError(f"need exactly {len(coeffs)} seeds, got {len(seeds)}")
         if coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero (true order)")
-        return super().__new__(cls, name, coeffs, seeds, seed_start, rational)
+        return super().__new__(cls, name, coeffs, seeds, seed_start)
 
     @property
     def order(self) -> int:
@@ -76,11 +70,6 @@ class SequenceSpec(CheckedRecord,
     def seed_end(self) -> int:
         """Index of the last seed."""
         return self.seed_start + self.order - 1
-
-    def invertible(self) -> bool:
-        """True when the recurrence can be run backward over this spec's
-        value domain (|cd| = 1, or rational mode)."""
-        return abs(self.coeffs[-1]) == 1 or self.rational
 
 
 FIBONACCI = SequenceSpec("F", (1, 1), (1, 1), seed_start=1)
@@ -171,9 +160,7 @@ def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
     products (module docstring), then streams lo..hi from that window with
     the recurrence, so memory is the size of the d + (hi - lo + 1) values
     and a range starting at or next to the seeds costs what streaming it
-    from the seeds costs.  Indices below the seeds need a unit trailing
-    coefficient, or rational mode, and raise NonInvertibleStepError
-    otherwise.  In rational mode the window there is an integer one over
+    from the seeds costs.  Below the seeds the window is an integer one over
     cd**(seed_start - lo), divided out at the end; each value is an int
     when integral and a Fraction otherwise.
     """
@@ -182,14 +169,9 @@ def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
     coeffs, seeds, s = list(spec.coeffs), list(spec.seeds), spec.seed_start
     if lo >= s:
         base, m, scale = [0, 1], lo - s, 1
-    elif spec.invertible():
+    else:
         # g(x) = x**(d-1) - c1*x**(d-2) - ... - c(d-1)
         base, m, scale = [-c for c in coeffs[-2::-1]] + [1], s - lo, coeffs[-1] ** (s - lo)
-    else:
-        raise NonInvertibleStepError(
-            f"cannot extend {spec.name!r} backward: trailing coefficient "
-            f"{coeffs[-1]} is not a unit (enable rational mode)"
-        )
     d, count = spec.order, hi - lo + 1
     r = _power(base, m, coeffs)
     head = seeds + fill_forward(coeffs, seeds, d - 1)  # U(s)..U(s+2d-2)
@@ -199,8 +181,8 @@ def eval_range(spec: SequenceSpec, lo: int, hi: int) -> list:
         return vals
     if scale == -1:
         return [-v for v in vals]
-    # Imported here: integer specs, and every spec at or above its seeds,
-    # never load fractions (nor decimal and numbers, which it imports).
+    # Imported here: specs with a unit cd, and every spec at or above its
+    # seeds, never load fractions (nor decimal and numbers, which it imports).
     from fractions import Fraction
 
     vals = [Fraction(v, scale) for v in vals]

@@ -503,18 +503,25 @@ def test_eval_custom_spec_matches_library(tmp_path, capsys):
     assert values == [1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12]
 
 
-def test_noninvertible_backward_eval_exits_two(tmp_path, capsys):
+def test_noninvertible_backward_eval_exits_two(tmp_path, capsys, monkeypatch):
+    # eval prints integers; below the seeds, J(-1) = 1/2 is a fraction.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated below the seeds of a non-unit spec")
+
     path = tmp_path / "jacobsthal.seq"
     path.write_text("seq J: J(n)=J(n-1)+2*J(n-2); J(0)=0; J(1)=1\n", encoding="utf-8")
-    code, _, err = run(capsys, "eval", "--spec", str(path), "--range=-2..4")
-    assert code == 2
+    with monkeypatch.context() as m:
+        m.setattr(cli, "eval_range", must_not_run)
+        code, out, err = run(capsys, "eval", "--spec", str(path), "--range=-2..4")
+    assert (code, out) == (2, "")
+    assert err.startswith("seqident: error: eval --range -2..4: ") and err.count("\n") == 1
     assert "backward" in err
-    # From J(1), the identity's constant J(0) needs a step backward.
+    # From J(1), the identity's constant J(0) = 1/2 is a step backward.
     path.write_text("seq J: J(n)=J(n-1)+2*J(n-2); J(1)=0; J(2)=1\n", encoding="utf-8")
     code, out, err = run(capsys, "conjecture", "--spec", str(path), "--probe-n", "40",
                          "--verify-to", "60")
-    assert (code, out) == (2, "")
-    assert err.startswith("seqident: error: cannot extend 'J' backward") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    assert "status: verified" in out and "constant 1/2" in out
 
 
 def test_indices_above_the_maximum_exit_two(tmp_path, capsys, monkeypatch):
@@ -567,6 +574,33 @@ def test_indices_above_the_maximum_exit_two(tmp_path, capsys, monkeypatch):
         assert (code, out) == (2, ""), seed
         assert err.startswith("seqident: error: conjecture: the seeds of G are ")
         assert err.count("\n") == 1 and str(cli.MAX_EVAL_INDEX) in err
+
+
+def test_conjecture_over_the_bits_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # Each probe's values U(min(1, 2-d)..2000) could hold billions of bits:
+    # its seeds lie 10**6 indices away, or c has 4300 digits.
+    nines = "9" * 4300
+    probes = [("G", f"G(n)=G(n-1)+2*G(n-2); G({10 ** 6})=1; G({10 ** 6 + 1})=1"),
+              ("G", "G(n)=G(n-1)+G(n-2); G(1002000)=1; G(1002001)=1"),
+              ("B", f"B(n)={nines}*B(n-1); B(0)=1")]
+    module = importlib.import_module("seqident.conjecture")
+    path = tmp_path / "probe.seq"
+    with monkeypatch.context() as m:
+        m.setattr(module, "conjecture", lambda *a, **k: pytest.fail("evaluated over the budget"))
+        for name, text in probes:
+            path.write_text(f"seq {name}: {text}\n", encoding="utf-8")
+            code, out, err = run(capsys, "conjecture", "--spec", str(path), "--probe-n", "40",
+                                 "--verify-to", "2000")
+            assert (code, out) == (2, ""), text
+            lo = 0 if name == "G" else 1
+            assert err == (f"seqident: error: conjecture: the values of {name} at {lo}..2000 "
+                           f"could hold more than {cli.MAX_EVAL_BITS} bits, the budget\n")
+    # Seeded 10**5 away, a short range is within the budget, and verifies.
+    path.write_text(f"seq G: G(n)=G(n-1)+2*G(n-2); G({10 ** 5})=1; G({10 ** 5 + 1})=1\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "conjecture", "--spec", str(path), "--probe-n", "40",
+                         "--verify-to", "50")
+    assert (code, err) == (0, "") and out.startswith("status: verified\n")
 
 
 def test_eval_indices_beyond_the_maximum_exit_two(capsys, monkeypatch):

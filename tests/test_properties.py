@@ -7,15 +7,14 @@ Recurrence detection is checked against exact elimination order by order.
 Specs have order 1-4, coefficients in -3..3, a unit trailing coefficient
 (so every spec runs backward in integers), seeds in -3..3 and seed starts
 in -3..3; the evaluation properties and the conjecture pipeline also take
-order 5, trailing coefficients +-2 and +-3 and rational mode.  Examples are
-derandomized so every run checks the same cases.
+order 5 and trailing coefficients +-2 and +-3, whose values below the seeds
+can be fractions.  Examples are derandomized so every run checks the same
+cases.
 
 The output of every CLI subcommand, in a drawn format, is also checked
 against the benchmark's independent oracle, seqbench/oracle.py: expand,
 eval, collect and conjecture on specs of order 1-6 written to a file in the
-DSL, and verify on 2..H.  A run either passes the oracle or, where a
-conjecture needs values below the seeds of a spec whose trailing
-coefficient is not a unit, exits 2 with one error line and no stdout.
+DSL, and verify on 2..H.  Every run passes the oracle.
 """
 
 import contextlib
@@ -44,7 +43,7 @@ from seqident.conjecture import (
 )
 from seqident.dsl import format_spec, parse
 from seqident.expansion import sum_expansions
-from seqident.sequences import NonInvertibleStepError, SequenceSpec, eval_range
+from seqident.sequences import SequenceSpec, eval_range
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 small = st.integers(-3, 3)
@@ -64,8 +63,7 @@ def any_specs(draw):
     trailing = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
     coeffs = [draw(small) for _ in range(order - 1)] + [trailing]
     seeds = [draw(small) for _ in range(order)]
-    return SequenceSpec("U", tuple(coeffs), tuple(seeds), seed_start=draw(small),
-                        rational=draw(st.booleans()))
+    return SequenceSpec("U", tuple(coeffs), tuple(seeds), seed_start=draw(small))
 
 
 @st.composite
@@ -88,21 +86,16 @@ def recurrences(draw):
 
 def values(spec, lo, hi):
     """{i: U(i)} for lo <= i <= hi, stepping out from the seeds one term at a
-    time; backward by solving U(m+d) = c1*U(m+d-1) + ... + cd*U(m) for U(m).
-    None when that needs dividing by a non-unit cd in integer mode."""
+    time; backward by solving U(m+d) = c1*U(m+d-1) + ... + cd*U(m) for U(m),
+    an int when integral and a Fraction otherwise."""
     d, c = spec.order, spec.coeffs
     u = {spec.seed_start + i: v for i, v in enumerate(spec.seeds)}
     for n in range(spec.seed_start + d, hi + 1):
         u[n] = sum(c[i] * u[n - 1 - i] for i in range(d))
     for m in range(spec.seed_start - 1, lo - 1, -1):
         top = u[m + d] - sum(c[i] * u[m + d - 1 - i] for i in range(d - 1))
-        if abs(c[-1]) == 1:
-            u[m] = top * c[-1]
-        elif spec.rational:
-            q = Fraction(top, c[-1])
-            u[m] = q.numerator if q.denominator == 1 else q
-        else:
-            return None
+        q = Fraction(top, c[-1])
+        u[m] = q.numerator if q.denominator == 1 else q
     return u
 
 
@@ -178,9 +171,6 @@ def detection_inputs(draw):
         spec = draw(any_specs())
         lo = draw(st.integers(spec.seed_start - 5, spec.seed_start + 20))
         u = values(spec, lo, lo + n - 1)
-        if u is None:  # a non-unit step below the seeds in integer mode
-            lo = spec.seed_start
-            u = values(spec, lo, lo + n - 1)
         vals = [u[i] for i in range(lo, lo + n)]
         if draw(st.booleans()):  # backward, a trailing cd gives coefficients 1/cd
             vals.reverse()
@@ -199,10 +189,6 @@ def test_eval_range_matches_stepping_one_term_at_a_time(data):
     spec = data.draw(any_specs())
     lo, hi = data.draw(windows(spec))
     u = values(spec, lo, hi)
-    if u is None:
-        with pytest.raises(NonInvertibleStepError):
-            eval_range(spec, lo, hi)
-        return
     got, expected = eval_range(spec, lo, hi), [u[n] for n in range(lo, hi + 1)]
     assert got == expected
     assert [type(v) for v in got] == [type(v) for v in expected]
@@ -216,8 +202,6 @@ def test_value_bits_bound_covers_every_value(data):
     spec = data.draw(any_specs())
     lo, hi = data.draw(windows(spec))
     u = values(spec, lo, hi)
-    if u is None:
-        return
     for n in range(lo, hi + 1):
         v = Fraction(u[n])
         assert (abs(v.numerator).bit_length() + v.denominator.bit_length()
@@ -227,9 +211,7 @@ def test_value_bits_bound_covers_every_value(data):
 @SETTINGS
 @given(any_specs())
 def test_format_then_parse_round_trips(spec):
-    # The text format has no rational marker: parsed specs are integer-mode.
-    assert parse(format_spec(spec)) == SequenceSpec(spec.name, spec.coeffs, spec.seeds,
-                                                    spec.seed_start)
+    assert parse(format_spec(spec)) == spec
 
 
 @SETTINGS
@@ -259,15 +241,9 @@ def test_verify_conjecture_matches_a_nested_loop(spec, weights, residuals, lo, s
 @SETTINGS
 @given(any_specs(), st.integers(10, 40))
 def test_conjecture_reports_a_status_and_the_first_failure(spec, hi):
-    # The derived identity holds for every spec, c1 = 0 included; it needs
-    # U(min(1, 2-d))..U(1), which a non-unit step in integer mode cannot reach.
-    evaluable = values(spec, min(1, 2 - spec.order), 1) is not None
-    try:
-        conj = conjecture(spec, 14, hi, max_order=5)
-    except NonInvertibleStepError:
-        assert not evaluable
-        return
-    assert evaluable
+    # The derived identity holds for every spec, c1 = 0 included, and a
+    # non-unit cd too, whose U(min(1, 2-d))..U(1) below the seeds are fractions.
+    conj = conjecture(spec, 14, hi, max_order=5)
     assert (conj.status, conj.first_failure) == (VERIFIED, None)
     assert plain_first_failure(conj, 2, hi) is None
 
@@ -339,35 +315,29 @@ def test_every_subcommand_passes_the_benchmark_oracle(oracle, spec_path, spec, d
     spec_path.write_text(format_spec(spec) + "\n", encoding="utf-8")
     want = oracle.Spec(spec.name, spec.coeffs, spec.seeds, spec.seed_start)
     lo = spec.seed_start + start
-    if not spec.invertible():  # below the seeds it exits 2: NonInvertibleStepError
+    if abs(spec.coeffs[-1]) != 1:  # eval prints integers: below these seeds it exits 2
         lo = max(lo, spec.seed_start)
     probe_n = 2 * max_order + extra
     # verify's window starts anywhere in 2..hi: at 3 its scan reads S(2) for
     # the replay's first m, and above 3 it reads S(lo-1).
     verify_lo = 2 + cut % (hi - 1)
     spec_argv = ["--spec", str(spec_path)]
-    # (argv, expectation, whether exit 2 is allowed): conjecture evaluates
-    # U(min(1, 2-d)) and up, below the seeds for some specs.
+    # (argv, expectation): conjecture evaluates U(min(1, 2-d)) and up, below
+    # the seeds of some specs, as fractions where cd is not a unit.
     commands = [
         (["expand", f"--depth={depth}", *spec_argv],
-         {"kind": "expand", "spec": want, "depth": depth}, False),
+         {"kind": "expand", "spec": want, "depth": depth}),
         (["eval", f"--range={lo}..{lo + width}", *spec_argv],
-         {"kind": "eval", "spec": want, "lo": lo, "hi": lo + width}, False),
-        (["collect", f"--n={n}", *spec_argv], {"kind": "collect", "spec": want, "n": n}, False),
+         {"kind": "eval", "spec": want, "lo": lo, "hi": lo + width}),
+        (["collect", f"--n={n}", *spec_argv], {"kind": "collect", "spec": want, "n": n}),
         (["verify", f"--range={verify_lo}..{hi}", *(["--inductive"] if inductive else [])],
-         {"kind": "verify", "lo": verify_lo, "hi": hi, "inductive": inductive}, False),
+         {"kind": "verify", "lo": verify_lo, "hi": hi, "inductive": inductive}),
         (["conjecture", *spec_argv, "--probe-n", str(probe_n), "--verify-to", str(hi),
           "--max-order", str(max_order)],
-         {"kind": "conjecture", "spec": want, "verify_to": hi},
-         not spec.invertible() and min(1, 2 - spec.order) < spec.seed_start),
+         {"kind": "conjecture", "spec": want, "verify_to": hi}),
     ]
-    for (argv, exp, may_exit_2), fmt in zip(commands, formats):
+    for (argv, exp), fmt in zip(commands, formats):
         argv += ["--format", fmt]
         code, out, err = run_cli(argv)
-        if code == 2:
-            assert may_exit_2, (argv, format_spec(spec), err)
-            assert out == b"" and err.startswith(b"seqident: error: "), argv
-            assert err.count(b"\n") == 1 and err.endswith(b"\n"), argv
-            continue
         verdict = oracle.check(oracle.prepare({**exp, "fmt": fmt}), code, out, err)
         assert verdict.status == "pass", (argv, format_spec(spec), verdict.reason)

@@ -9,7 +9,6 @@ from seqident.sequences import (
     FIBONACCI,
     LUCAS,
     TRIBONACCI,
-    NonInvertibleStepError,
     SequenceSpec,
     eval_range,
     eval_term,
@@ -81,9 +80,6 @@ def test_spec_properties():
     assert FIBONACCI.order == 2
     assert FIBONACCI.seed_start == 1 and FIBONACCI.seed_end == 2
     assert TRIBONACCI.order == 3 and TRIBONACCI.seed_end == 2
-    assert FIBONACCI.invertible()
-    assert not SequenceSpec("A", (1, 2), (1, 1)).invertible()
-    assert SequenceSpec("A", (1, 2), (1, 1), rational=True).invertible()
 
 
 def test_eval_range_matches_iteration():
@@ -135,21 +131,15 @@ def test_extend_backward_fibonacci():
     assert [eval_term(FIBONACCI, n) for n in (0, -1, -2)] == [0, 1, -1]
 
 
-def test_backward_requires_unit_trailing_coefficient():
+def test_backward_non_unit_gives_exact_fractions():
     spec = SequenceSpec("A", (1, 2), (1, 1), seed_start=0)
-    with pytest.raises(NonInvertibleStepError):
-        eval_term(spec, -1)
-    with pytest.raises(NonInvertibleStepError):
-        eval_range(spec, -2, 3)
-
-
-def test_backward_rational_mode():
-    spec = SequenceSpec("A", (1, 2), (1, 1), seed_start=0, rational=True)
-    # A(-1) = (A(1) - A(0))/2 = 0, A(-2) = (A(0) - A(-1))/2 = 1/2
-    assert eval_term(spec, -1) == 0
-    assert eval_term(spec, -2) == Fraction(1, 2)
+    # A(-1) = (A(1) - A(0))/2 = 0, A(-2) = (A(0) - A(-1))/2 = 1/2,
+    # A(-3) = (A(-1) - A(-2))/2 = -1/4
+    vals = eval_range(spec, -3, 3)
+    assert vals == [Fraction(-1, 4), Fraction(1, 2), 0, 1, 1, 3, 5]
     # integral results come back as plain ints
-    assert isinstance(eval_term(spec, -1), int)
+    assert [type(v) for v in vals] == [Fraction, Fraction] + [int] * 5
+    assert [eval_term(spec, n) for n in range(-3, 4)] == vals
 
 
 def test_backward_then_forward_roundtrip():
