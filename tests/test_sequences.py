@@ -131,7 +131,18 @@ def test_extend_backward_fibonacci():
     assert [eval_term(FIBONACCI, n) for n in (0, -1, -2)] == [0, 1, -1]
 
 
-def test_backward_non_unit_gives_exact_fractions():
+def test_backward_requires_unit_trailing_coefficient():
+    # integer values below the seeds need a unit c_d; otherwise the
+    # values come back as exact Fractions instead of raising
+    unit = SequenceSpec("A", (1, -1), (1, 1), seed_start=0)
+    assert all(type(v) is int for v in eval_range(unit, -12, 3))
+    spec = SequenceSpec("A", (1, 2), (1, 1), seed_start=0)
+    assert eval_term(spec, -1) == 0
+    assert eval_term(spec, -2) == Fraction(1, 2)
+    assert eval_range(spec, -2, 3) == [Fraction(1, 2), 0, 1, 1, 3, 5]
+
+
+def test_backward_rational_mode():
     spec = SequenceSpec("A", (1, 2), (1, 1), seed_start=0)
     # A(-1) = (A(1) - A(0))/2 = 0, A(-2) = (A(0) - A(-1))/2 = 1/2,
     # A(-3) = (A(-1) - A(-2))/2 = -1/4
